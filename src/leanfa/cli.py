@@ -8,11 +8,12 @@ field order so they can be parsed by scripts and diffed across runs.
 from __future__ import annotations
 
 import argparse
-import os
+import itertools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .cycles import budget_from_env
 from .equilibrium import (
     FAILS,
     HOLDS,
@@ -24,6 +25,7 @@ from .equilibrium import (
     is_abreu_rubinstein,
     is_lean,
     is_nash,
+    nash_deviator,
 )
 from .games import BUILTIN_GAMES, ParseError, StageGame, is_strictly_enforceable, parse_game
 from .machines import (
@@ -283,27 +285,21 @@ def _cmd_seq(args, out) -> int:
     return 0
 
 
-def _pair_budget() -> int:
-    return int(os.environ.get("LEANFA_BUDGET", "1000000"))
-
-
 def _examine_pair(task) -> tuple[bool, str | None]:
     """Check one indexed pair; returns (is nash, hit line or None)."""
     game, i, j, m1, m2, find, measure_text, audit_structure = task
-    nash = is_nash(m1, m2, game)
-    if nash.result != HOLDS:
+    if nash_deviator(m1, m2, game) is not None:
         return False, None
     payoff = limit_mean_payoff(simulate(m1, m2), game)
-    if find == "nash":
-        verdict = nash
-    else:
+    result = HOLDS
+    if find != "nash":
         measure = Measure.from_text(measure_text)
         check = is_abreu_rubinstein if find == "ar" else is_lean
-        verdict = check(m1, m2, game, measure)
-    if verdict.result == FAILS:
+        result = check(m1, m2, game, measure).result
+    if result == FAILS:
         return True, None
     line = (
-        f"hit m1={i} m2={j} payoff={payoff} result={verdict.result} "
+        f"hit m1={i} m2={j} payoff={payoff} result={result} "
         f"def1={_machine_brief(m1)} def2={_machine_brief(m2)}"
     )
     if audit_structure:
@@ -328,21 +324,43 @@ def _examine_chunk(tasks) -> list[tuple[bool, str | None]]:
     return [_examine_pair(t) for t in tasks]
 
 
+def _chunks(items, size: int):
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
+
+def _print_hits(results, out) -> tuple[int, int]:
+    """Print each hit line in order; returns (nash pairs, hits)."""
+    nash_count = hits = 0
+    for was_nash, line in results:
+        nash_count += was_nash
+        if line is not None:
+            hits += 1
+            print(line, file=out)
+    return nash_count, hits
+
+
 def _cmd_enumerate(args, out) -> int:
+    if args.states < 1:
+        raise _UsageError("--states must be a positive state count")
+    if args.threat is not None and args.threat < 0:
+        raise _UsageError("--threat must be a non-negative state count")
+    if args.find in ("ar", "lean") and args.measure is None:
+        raise _UsageError(f"--find {args.find} requires --measure")
+    try:
+        budget = budget_from_env()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     ws = Workspace(_load_game(args.game))
     bound = SearchBound(args.states, args.threat if args.threat is not None else args.states)
     pool1 = tuple(enumerate_machines(1, ws.game, bound))
     pool2 = tuple(enumerate_machines(2, ws.game, bound))
     print(f"machines-1: {len(pool1)}", file=out)
     print(f"machines-2: {len(pool2)}", file=out)
-    measure = Measure.from_text(args.measure) if args.measure else None
-    if args.find in ("ar", "lean") and measure is None:
-        raise _UsageError(f"--find {args.find} requires --measure")
-    budget = _pair_budget()
-    pairs = [(i, j) for i in range(len(pool1)) for j in range(len(pool2))]
-    truncated = len(pairs) > budget
-    pairs = pairs[:budget]
-    tasks = [
+    total = len(pool1) * len(pool2)
+    n_pairs = min(total, budget)
+    pairs = itertools.islice(itertools.product(range(len(pool1)), range(len(pool2))), budget)
+    tasks = (
         (
             ws.game,
             i,
@@ -354,27 +372,21 @@ def _cmd_enumerate(args, out) -> int:
             args.audit == "structure",
         )
         for i, j in pairs
-    ]
-    if args.jobs > 1 and len(tasks) > 1:
-        # buffer per-partition results and merge in canonical pair order so
-        # output is byte-identical to a sequential run
+    )
+    if args.jobs > 1 and n_pairs > 1:
+        # imap hands chunk results back in canonical pair order, so output
+        # is byte-identical to a sequential run
         import multiprocessing
 
-        step = max(1, len(tasks) // (args.jobs * 4))
-        chunks = [tasks[k : k + step] for k in range(0, len(tasks), step)]
+        step = max(1, n_pairs // (args.jobs * 4))
         with multiprocessing.Pool(args.jobs) as pool:
-            results = [r for chunk in pool.map(_examine_chunk, chunks) for r in chunk]
+            chunks = pool.imap(_examine_chunk, _chunks(tasks, step))
+            nash_count, hits = _print_hits(itertools.chain.from_iterable(chunks), out)
     else:
-        results = [_examine_pair(t) for t in tasks]
-    nash_count = sum(1 for was_nash, _ in results if was_nash)
-    hits = 0
-    for _, line in results:
-        if line is not None:
-            hits += 1
-            print(line, file=out)
-    if truncated:
+        nash_count, hits = _print_hits(map(_examine_pair, tasks), out)
+    if total > budget:
         print(f"truncated: pair budget {budget} exceeded, partial results", file=out)
-    print(f"summary: pairs={len(pairs)} nash={nash_count} hits={hits}", file=out)
+    print(f"summary: pairs={n_pairs} nash={nash_count} hits={hits}", file=out)
     return 0
 
 
@@ -478,3 +490,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

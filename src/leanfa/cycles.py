@@ -434,8 +434,19 @@ def subcycle_decompose(
     return first, second
 
 
-def default_cycle_budget() -> int:
-    return int(os.environ.get("LEANFA_BUDGET", "1000000"))
+def budget_from_env() -> int:
+    """The LEANFA_BUDGET cap on simple cycles and enumerated pairs (default 1,000,000).
+
+    Raises ValueError unless the value is a non-negative integer.
+    """
+    text = os.environ.get("LEANFA_BUDGET", "1000000")
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"LEANFA_BUDGET must be a non-negative integer, got {text!r}")
+    return budget
 
 
 def enumerate_simple_cycles(
@@ -447,7 +458,7 @@ def enumerate_simple_cycles(
     guarded by a cycle-count budget (LEANFA_BUDGET overrides the default).
     """
     if budget is None:
-        budget = default_cycle_budget()
+        budget = budget_from_env()
     order = {v: i for i, v in enumerate(graph.nodes)}
     emitted = 0
     for v0 in graph.nodes:

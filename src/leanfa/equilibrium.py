@@ -22,7 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .cycles import best_response_value, construct_best_response, is_sequence_forcing
 from .games import PlayerId, StageGame, forcing_actions, is_strictly_enforceable, opponent
@@ -133,19 +133,29 @@ def is_best_response(m_i: Machine, m_j: Machine, game: StageGame) -> bool:
     return payoff == best_response_value(m_j, game)
 
 
+def nash_deviator(m1: Machine, m2: Machine, game: StageGame) -> PlayerId | None:
+    """The first player whose payoff falls short of its best-response value.
+
+    None means the pair is a Nash equilibrium.  No witness is built.
+    """
+    payoff = limit_mean_payoff(simulate(m1, m2), game)
+    for i, m_j in ((1, m2), (2, m1)):
+        if payoff.for_player(i) != best_response_value(m_j, game):
+            return i
+    return None
+
+
 def is_nash(m1: Machine, m2: Machine, game: StageGame) -> Verdict:
     """Mutual best responses; on failure the witness is a best-response machine."""
-    play = simulate(m1, m2)
-    payoff = limit_mean_payoff(play, game)
-    for i, m_i, m_j in ((1, m1, m2), (2, m2, m1)):
-        if payoff.for_player(i) != best_response_value(m_j, game):
-            return Verdict(
-                "nash",
-                FAILS,
-                witness=construct_best_response(m_j, game),
-                witness_player=i,
-            )
-    return Verdict("nash", HOLDS)
+    i = nash_deviator(m1, m2, game)
+    if i is None:
+        return Verdict("nash", HOLDS)
+    return Verdict(
+        "nash",
+        FAILS,
+        witness=construct_best_response(m2 if i == 1 else m1, game),
+        witness_player=i,
+    )
 
 
 # --- canonical machine enumeration --------------------------------------------
@@ -176,34 +186,61 @@ def _structures(n: int, degree: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
+def _pool_rows(
+    game: StageGame, player: PlayerId, max_states: int, max_threat: int
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Canonical machines up to `max_states` states, as flat integer rows.
+
+    A row is (n, table, outputs, threats).  States are 0..n-1 with 0
+    initial; `table[q * degree + k]` is the target of state q on the
+    opponent's k-th action and `outputs[q]` indexes the player's actions,
+    both in the game's declared order.  `threats` lists the threat states:
+    absorbing states whose output is a forcing action.  All rows of one
+    transition structure share one `table` object.
+    """
+    own = game.actions(player)
+    degree = len(game.actions(opponent(player)))
+    force = forcing_actions(game, player)
+    forcing = frozenset(k for k, a in enumerate(own) if a in force)
+    for n in range(1, max_states + 1):
+        for table in _structures(n, degree):
+            absorbing = [
+                q for q in range(n) if all(t == q for t in table[q * degree : (q + 1) * degree])
+            ]
+            for outs in itertools.product(range(len(own)), repeat=n):
+                absorbing_outputs = [outs[q] for q in absorbing]
+                if len(set(absorbing_outputs)) != len(absorbing_outputs):
+                    continue  # duplicate absorbing states collapse to one
+                threats = tuple(q for q in absorbing if outs[q] in forcing)
+                if len(threats) > max_threat:
+                    continue
+                yield n, table, outs, threats
+
+
+def _row_machine(
+    game: StageGame, player: PlayerId, table: tuple[int, ...], outs: tuple[int, ...]
+) -> Machine:
+    own = game.actions(player)
+    inputs = game.actions(opponent(player))
+    degree = len(inputs)
+    names = tuple(str(q) for q in range(len(outs)))
+    transition = {
+        (names[q], a): names[table[q * degree + k]]
+        for q in range(len(outs))
+        for k, a in enumerate(inputs)
+    }
+    output = {names[q]: own[o] for q, o in enumerate(outs)}
+    return Machine(player, names, "0", output, transition)
+
+
 @lru_cache(maxsize=None)
 def _machine_pool(
     game: StageGame, player: PlayerId, max_states: int, max_threat: int
 ) -> tuple[Machine, ...]:
-    own = game.actions(player)
-    inputs = game.actions(opponent(player))
-    degree = len(inputs)
-    force = set(forcing_actions(game, player))
-    pool: list[Machine] = []
-    for n in range(1, max_states + 1):
-        names = tuple(str(i) for i in range(n))
-        for table in _structures(n, degree):
-            rows = [table[i * degree : (i + 1) * degree] for i in range(n)]
-            absorbing = [i for i in range(n) if all(t == i for t in rows[i])]
-            transition = {
-                (names[i], a): names[rows[i][k]]
-                for i in range(n)
-                for k, a in enumerate(inputs)
-            }
-            for outs in itertools.product(own, repeat=n):
-                absorbing_outputs = [outs[i] for i in absorbing]
-                if len(set(absorbing_outputs)) != len(absorbing_outputs):
-                    continue  # duplicate absorbing states collapse to one
-                if sum(1 for i in absorbing if outs[i] in force) > max_threat:
-                    continue
-                output = {names[i]: outs[i] for i in range(n)}
-                pool.append(Machine(player, names, "0", output, transition))
-    return tuple(pool)
+    return tuple(
+        _row_machine(game, player, table, outs)
+        for _, table, outs, _ in _pool_rows(game, player, max_states, max_threat)
+    )
 
 
 def enumerate_machines(
@@ -219,14 +256,63 @@ def enumerate_machines(
     yield from _machine_pool(game, player, bound.max_total_states, bound.max_threat_states)
 
 
+def _row_measure(
+    n: int, table: tuple[int, ...], threats: tuple[int, ...], measure: Measure
+) -> int:
+    """`measure_value` of a pool row's machine.
+
+    Threat states only loop to themselves, so the transitions between
+    normal states are all transitions but those that enter a threat state.
+    """
+    if measure is Measure.TOTAL_STATES:
+        return n
+    if measure is Measure.NORMAL_STATES:
+        return n - len(threats)
+    return len(table) - sum(table.count(q) for q in threats)
+
+
+def _string_ranks(items: Sequence) -> list[int]:
+    """Position of each item when the items are sorted by their string form."""
+    ranks = [0] * len(items)
+    for r, k in enumerate(sorted(range(len(items)), key=lambda k: str(items[k]))):
+        ranks[k] = r
+    return ranks
+
+
 @lru_cache(maxsize=None)
 def _measured_pool(
     game: StageGame, player: PlayerId, max_states: int, max_threat: int, measure: Measure
-) -> tuple[tuple[int, Machine], ...]:
-    pool = _machine_pool(game, player, max_states, max_threat)
-    scored = [(measure_value(m, game, measure), m) for m in pool]
-    scored.sort(key=lambda pair: (pair[0], pair[1]._key))
-    return tuple(scored)
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """(measure value, table, outputs) rows, in (value, Machine._key) order.
+
+    The key of a pool machine compares its state count (its state names
+    are "0".."n-1"), then its output names, then its transition targets'
+    names with inputs in sorted-name order, all as strings.  Ranking the
+    integers by those strings orders the rows the same way without
+    building the machines.
+    """
+    inputs = game.actions(opponent(player))
+    degree = len(inputs)
+    out_rank = _string_ranks(game.actions(player))
+    target_rank = _string_ranks(range(max_states))
+    by_name = sorted(range(degree), key=lambda k: inputs[k])
+    scored = []
+    table_key = last_table = None
+    for n, table, outs, threats in _pool_rows(game, player, max_states, max_threat):
+        if table is not last_table:  # the target ranks depend on the structure only
+            last_table = table
+            table_key = tuple(
+                target_rank[table[q * degree + k]] for q in range(n) for k in by_name
+            )
+        key = (
+            _row_measure(n, table, threats, measure),
+            n,
+            tuple(out_rank[o] for o in outs),
+            table_key,
+        )
+        scored.append((key, table, outs))
+    scored.sort(key=lambda row: row[0])
+    return tuple((key[0], table, outs) for key, table, outs in scored)
 
 
 def _enumeration_cap(measure: Measure, incumbent_value: int, game: StageGame, player: PlayerId) -> int:
@@ -291,10 +377,11 @@ def _deviation_candidates(
     """
     cap = min(bound.max_total_states, _enumeration_cap(measure, incumbent_value, game, player))
     if cap >= 1:
-        for value, m in _measured_pool(game, player, cap, bound.max_threat_states, measure):
+        rows = _measured_pool(game, player, cap, bound.max_threat_states, measure)
+        for value, table, outs in rows:
             if value >= incumbent_value:
                 break  # pool is sorted by measure
-            yield m
+            yield _row_machine(game, player, table, outs)
     if measure is Measure.NORMAL_TRANSITIONS:
         lo = max(cap, 1)
         for L in range(lo, incumbent_value + 1):

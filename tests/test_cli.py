@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leanfa
 from leanfa.cli import EXIT_PARSE, EXIT_USAGE, main
 from leanfa.machines import machine_to_text, parse_machine
 from leanfa import grim_trigger
@@ -172,6 +177,46 @@ def test_enumerate_budget_truncation(monkeypatch):
     assert "summary: pairs=2" in out
 
 
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+def test_enumerate_bad_budget_is_usage_error(monkeypatch, value):
+    # -1 once sliced pairs[:-1] and dropped the only Nash pair; abc printed
+    # the pool sizes and then exited 65
+    monkeypatch.setenv("LEANFA_BUDGET", value)
+    code, out = run("enumerate", "pd", "--states", "1", "--find", "nash")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_enumerate_zero_budget(monkeypatch):
+    monkeypatch.setenv("LEANFA_BUDGET", "0")
+    code, out = run("enumerate", "pd", "--states", "1", "--find", "nash")
+    assert code == 0
+    assert out.endswith("truncated: pair budget 0 exceeded, partial results\n"
+                        "summary: pairs=0 nash=0 hits=0\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--states", "0"), ("--states", "1", "--threat", "-1"), ("--states", "1", "--find", "lean")],
+)
+def test_enumerate_bad_arguments_are_usage_errors(args):
+    code, out = run("enumerate", "pd", *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_python_m_entry_point():
+    src = Path(leanfa.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("LEANFA_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "leanfa.cli", "enumerate", "pd", "--states", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "summary: pairs=4 nash=1 hits=1"
+
+
 def test_enumerate_audit_structure():
     code, out = run(
         "enumerate",
@@ -203,6 +248,16 @@ def test_enumerate_jobs_deterministic():
     code2, out2 = run("enumerate", "pd", "--states", "1", "--find", "nash", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_enumerate_jobs_deterministic_under_budget(monkeypatch):
+    # 1,237 pairs split into uneven chunks, with hits spread over them
+    monkeypatch.setenv("LEANFA_BUDGET", "1237")
+    code1, out1 = run("enumerate", "pd", "--states", "2", "--find", "nash", "--jobs", "1")
+    code2, out2 = run("enumerate", "pd", "--states", "2", "--find", "nash", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "summary: pairs=1237 nash=108 hits=108" in out1
 
 
 def test_export_dot_deterministic(grim_files):
