@@ -15,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from math import lcm
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .games import PlayerId, StageGame, opponent
 from .machines import Machine, reachable_states, validate_machine
@@ -123,116 +124,150 @@ def path_payoff(path: MachinePath, game: StageGame, for_player: PlayerId) -> Fra
 
 
 # --- exact maximum cycle mean -------------------------------------------------
+#
+# Karp runs on integer weights: every payoff is multiplied by the LCM of the
+# denominators on the graph, so the walk table and the potentials hold Python
+# ints, and a mean comes out as a pair (num, den) of ints.  Only the final
+# value becomes a Fraction, num / (den * scale), so results stay exact.
 
-def _scc_list(nodes: tuple[str, ...], succ: dict[str, set[str]]) -> list[list[str]]:
-    """Tarjan's strongly connected components, deterministic order."""
+Arc = tuple[int, str, str, int]  # (index into the edge list, src, dst, integer weight)
+
+
+def _scc_list(nodes: tuple[str, ...], succ: dict[str, list[str]]) -> list[list[str]]:
+    """Tarjan's strongly connected components, iterative, deterministic order."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
     comps: list[list[str]] = []
-    counter = iter(range(len(nodes) * 2 + 1))
+    work: list[tuple[str, Iterator[str]]] = []  # the call stack of recursive Tarjan
 
-    def strong(v: str):
-        index[v] = low[v] = next(counter)
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in succ[v]:
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            comps.append(comp)
+        work.append((v, iter(succ[v])))
 
-    for v in nodes:
-        if v not in index:
-            strong(v)
+    for root in nodes:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
 
 
-def _karp_max_mean(
-    comp: list[str], edges: list[REdge], weight: Callable[[REdge], Fraction]
-) -> Fraction:
-    """Karp's maximum cycle mean on one strongly connected component.
+def _karp(comp: list[str], arcs: list[Arc]) -> tuple[int, int]:
+    """Karp's maximum cycle mean of one strongly connected component, as (num, den).
 
-    D[k][v] is the best total weight of a k-edge walk from a fixed root;
-    the answer is max over v of min over k of (D[n][v]-D[k][v])/(n-k),
-    computed entirely in exact rationals.
+    D[k][v] is the best total weight of a k-edge walk from comp[0]; the
+    answer is max over v of min over k of (D[n][v]-D[k][v])/(n-k).  A row
+    holds only the nodes some k-edge walk reaches, so a ring of n states
+    costs O(n) rather than O(n * edges).
     """
     n = len(comp)
-    idx = {v: i for i, v in enumerate(comp)}
-    D: list[list[Fraction | None]] = [[None] * n for _ in range(n + 1)]
-    D[0][0] = Fraction(0)
-    for k in range(1, n + 1):
-        prev, row = D[k - 1], D[k]
-        for e in edges:
-            base = prev[idx[e.src]]
-            if base is None:
-                continue
-            cand = base + weight(e)
-            i = idx[e.dst]
-            if row[i] is None or cand > row[i]:
-                row[i] = cand
-    best: Fraction | None = None
-    for v in range(n):
-        dn = D[n][v]
-        if dn is None:
-            continue
-        worst: Fraction | None = None
+    succ: dict[str, list[tuple[str, int]]] = {v: [] for v in comp}
+    for _, src, dst, w in arcs:
+        succ[src].append((dst, w))
+    rows: list[dict[str, int]] = [{comp[0]: 0}]
+    for _ in range(n):
+        row: dict[str, int] = {}
+        for u, du in rows[-1].items():
+            for v, w in succ[u]:
+                cand = du + w
+                old = row.get(v)
+                if old is None or cand > old:
+                    row[v] = cand
+        rows.append(row)
+    # every node of a cyclic component has a walk of each length ending in
+    # it, and one of length at most n-1 from the root, so no min is empty
+    means = []
+    for v, dn in rows[n].items():
+        num, den = None, 1
         for k in range(n):
-            dk = D[k][v]
-            if dk is None:
-                continue
-            mean = (dn - dk) / (n - k)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    assert best is not None, "strongly connected component with a cycle expected"
-    return best
+            dk = rows[k].get(v)
+            if dk is not None and (num is None or (dn - dk) * den < num * (n - k)):
+                num, den = dn - dk, n - k
+        means.append((num, den))
+    return _largest(means)
 
 
-def _component_data(nodes: tuple[str, ...], edges: list[REdge]):
-    succ: dict[str, set[str]] = {v: set() for v in nodes}
+def _component_means(
+    nodes: tuple[str, ...], edges: list[REdge], weight: Callable[[REdge], Fraction]
+) -> tuple[int, list[tuple[tuple[int, int], list[str], list[Arc]]]]:
+    """Scale the weights to ints, then Karp on each component that holds a cycle.
+
+    Returns the scale and, per cyclic component in Tarjan order, its mean
+    (num, den) on the scaled weights, its nodes and its internal arcs.
+    """
+    values = [weight(e) for e in edges]
+    scale = lcm(*(x.denominator for x in values))
+    succ: dict[str, list[str]] = {v: [] for v in nodes}
     for e in edges:
-        succ[e.src].add(e.dst)
-    out = []
-    for comp in _scc_list(nodes, succ):
-        comp_set = set(comp)
-        comp_edges = [e for e in edges if e.src in comp_set and e.dst in comp_set]
-        if not comp_edges:
-            continue
-        if len(comp) == 1 and not any(e.src == e.dst for e in comp_edges):
-            continue
-        out.append((comp, comp_edges))
-    return out
+        succ[e.src].append(e.dst)
+    comps = _scc_list(nodes, succ)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    inner: list[list[Arc]] = [[] for _ in comps]
+    for i, (e, x) in enumerate(zip(edges, values)):
+        c = comp_of[e.src]
+        if c == comp_of[e.dst]:
+            inner[c].append((i, e.src, e.dst, x.numerator * (scale // x.denominator)))
+    scored = [(_karp(comp, arcs), comp, arcs) for comp, arcs in zip(comps, inner) if arcs]
+    if not scored:
+        raise ValueError("graph has no cycle")
+    return scale, scored
 
 
-def _potentials(
-    comp: list[str], edges: list[REdge], mu: Fraction, weight: Callable[[REdge], Fraction]
-) -> dict[str, Fraction]:
-    # longest walks from the root under weight - mu; finite because no cycle
-    # has positive adjusted mean once mu is the maximum cycle mean
-    pot = {v: None for v in comp}
-    pot[comp[0]] = Fraction(0)
+def _largest(means: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The largest of some means given as (num, den) pairs with den > 0."""
+    best_num, best_den = None, 1
+    for num, den in means:
+        if best_num is None or num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
+
+
+def _max_cycle_mean(nodes: tuple[str, ...], edges: list[REdge]) -> Fraction:
+    """The responder's maximum cycle mean over a graph, value only."""
+    scale, scored = _component_means(nodes, edges, lambda e: e.w_resp)
+    num, den = _largest(mean for mean, _, _ in scored)
+    return Fraction(num, den * scale)
+
+
+def _potentials(comp: list[str], arcs: list[tuple[str, str, int]]) -> dict[str, int]:
+    # longest walks from the root under the adjusted weights; finite because
+    # no cycle has a positive adjusted weight once mu is the maximum cycle mean
+    pot: dict[str, int | None] = {v: None for v in comp}
+    pot[comp[0]] = 0
     for _ in range(len(comp) - 1):
         changed = False
-        for e in edges:
-            base = pot[e.src]
+        for src, dst, a in arcs:
+            base = pot[src]
             if base is None:
                 continue
-            cand = base + weight(e) - mu
-            if pot[e.dst] is None or cand > pot[e.dst]:
-                pot[e.dst] = cand
+            cand = base + a
+            if pot[dst] is None or cand > pot[dst]:
+                pot[dst] = cand
                 changed = True
         if not changed:
             break
@@ -246,24 +281,28 @@ def _critical_subgraph(
 
     Within a maximizing component, an edge lies on a maximum-mean cycle
     exactly when it is tight for the longest-walk potentials; every cycle
-    made of tight edges has the maximum mean.
+    made of tight edges has the maximum mean.  With mu = P / (Q * scale),
+    the adjusted weight of an edge is its scaled weight times Q minus P, an
+    integer, so tightness is an integer equality.
     """
-    comps = _component_data(nodes, edges)
-    if not comps:
-        raise ValueError("graph has no cycle")
-    scored = [(_karp_max_mean(comp, comp_edges, weight), comp, comp_edges) for comp, comp_edges in comps]
-    mu = max(s[0] for s in scored)
+    scale, scored = _component_means(nodes, edges, weight)
+    P, Q = _largest(mean for mean, _, _ in scored)
     crit_nodes: list[str] = []
     crit_edges: list[REdge] = []
-    for value, comp, comp_edges in scored:
-        if value != mu:
+    for (num, den), comp, arcs in scored:
+        if num * Q != P * den:
             continue
-        pot = _potentials(comp, comp_edges, mu, weight)
-        tight = [e for e in comp_edges if pot[e.src] + weight(e) - mu == pot[e.dst]]
+        adjusted = [(src, dst, w * Q - P) for _, src, dst, w in arcs]
+        pot = _potentials(comp, adjusted)
+        tight = [
+            edges[i]
+            for (i, _, _, _), (src, dst, a) in zip(arcs, adjusted)
+            if pot[src] + a == pot[dst]
+        ]
         keep = {e.src for e in tight} | {e.dst for e in tight}
         crit_nodes.extend(v for v in comp if v in keep)
         crit_edges.extend(tight)
-    return mu, crit_nodes, crit_edges
+    return Fraction(P, Q * scale), crit_nodes, crit_edges
 
 
 def _reaches(adj: dict[str, list[REdge]], src: str, target: str, blocked: set[str]) -> bool:
@@ -342,7 +381,8 @@ def max_mean_cycle(graph: ResponseGraph) -> tuple[Fraction, MachinePath]:
 @lru_cache(maxsize=None)
 def best_response_value(machine: Machine, game: StageGame) -> Fraction:
     """Best limit-of-means payoff achievable against `machine`."""
-    return max_mean_cycle(build_response_graph(machine, game))[0]
+    graph = build_response_graph(machine, game)
+    return _max_cycle_mean(graph.nodes, graph.edges())
 
 
 def construct_best_response(machine: Machine, game: StageGame) -> Machine:
@@ -511,7 +551,7 @@ def is_sequence_forcing(
     if not seq.entries:
         raise ValueError("empty action sequence")
     graph = build_response_graph(machine, game)
-    value, _ = max_mean_cycle(graph)
+    value = best_response_value(machine, game)
     k = len(seq)
     own = machine.player - 1
     resp = responder - 1
@@ -570,7 +610,7 @@ def is_sequence_forcing(
                         seen_set.add(e.dst)
                         seen_states.append(e.dst)
             edges = [e for u in seen_states for e in graph.adj[u]]
-            memo[start] = _critical_subgraph(tuple(seen_states), edges, lambda e: e.w_resp)[0]
+            memo[start] = _max_cycle_mean(tuple(seen_states), edges)
         return memo[start]
 
     for q in graph.nodes:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 PlayerId = int
 
@@ -51,15 +52,18 @@ class StageGame:
 
     Payoffs are exact rationals and all downstream equilibrium verdicts
     compare them exactly, so floating point never enters the analysis.
-    Equality and hashing are by the payoff table, not the name.
+    Equality and hashing are by the payoff table, not the name.  The table
+    is a read-only view of a private copy, so the hash, computed once, and
+    the equality key cannot go stale.
     """
 
     name: str
     actions1: tuple[str, ...]
     actions2: tuple[str, ...]
-    payoff: dict[tuple[str, str], PayoffProfile]
+    payoff: Mapping[tuple[str, str], PayoffProfile]
 
     def __post_init__(self):
+        object.__setattr__(self, "payoff", MappingProxyType(dict(self.payoff)))
         for player, actions in ((1, self.actions1), (2, self.actions2)):
             if not actions:
                 raise ValueError(f"player {player} has no actions")
@@ -79,6 +83,12 @@ class StageGame:
             tuple(self.payoff[(a1, a2)] for a1 in self.actions1 for a2 in self.actions2),
         )
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuilding from a plain dict also
+        # recomputes the hash under the unpickling process's string hashing
+        return (StageGame, (self.name, self.actions1, self.actions2, dict(self.payoff)))
 
     def actions(self, player: PlayerId) -> tuple[str, ...]:
         return self.actions1 if player == 1 else self.actions2
@@ -96,7 +106,7 @@ class StageGame:
         return isinstance(other, StageGame) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .games import ParseError, PayoffProfile, PlayerId, StageGame, forcing_actions, opponent
 
@@ -27,17 +29,20 @@ class Machine:
 
     `output` maps each state to an own action; `transition` maps each
     (state, opponent action) pair to a state, totally.  Equality and
-    hashing ignore the name.
+    hashing ignore the name.  Both maps are read-only views of private
+    copies, so the equality key built from them cannot go stale.
     """
 
     player: PlayerId
     states: tuple[str, ...]
     initial: str
-    output: dict[str, str]
-    transition: dict[tuple[str, str], str]
+    output: Mapping[str, str]
+    transition: Mapping[tuple[str, str], str]
     name: str = "m"
 
     def __post_init__(self):
+        object.__setattr__(self, "output", MappingProxyType(dict(self.output)))
+        object.__setattr__(self, "transition", MappingProxyType(dict(self.transition)))
         if self.player not in (1, 2):
             raise ValueError(f"bad player {self.player!r}")
         if not self.states:
@@ -65,6 +70,14 @@ class Machine:
             tuple(self.transition[(q, a)] for q in self.states for a in inputs),
         )
         object.__setattr__(self, "_key", key)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild from plain dicts
+        return (
+            Machine,
+            (self.player, self.states, self.initial, dict(self.output),
+             dict(self.transition), self.name),
+        )
 
     def __eq__(self, other):
         return isinstance(other, Machine) and self._key == other._key

@@ -37,6 +37,7 @@ from leanfa import (
     simulate,
     ar_implies_lean,
     audit_pair,
+    best_response_value,
 )
 from leanfa.equilibrium import FAILS, HOLDS
 
@@ -234,6 +235,7 @@ def test_criterion_10_cycle_oracle():
                 path_payoff(c, game, responder) for c in enumerate_simple_cycles(graph)
             )
             assert value == best
+            assert best_response_value(machine, game) == best
             assert witness.is_simple_cycle
             assert path_payoff(witness, game, responder) == value
 

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,11 @@ import pytest
 
 import leanfa
 from leanfa.cli import EXIT_PARSE, EXIT_USAGE, main
+from leanfa.games import game_to_text
 from leanfa.machines import machine_to_text, parse_machine
 from leanfa import grim_trigger
+
+from conftest import random_game
 
 
 GRIM_1 = machine_to_text(grim_trigger(1))
@@ -258,6 +262,17 @@ def test_enumerate_jobs_deterministic_under_budget(monkeypatch):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "summary: pairs=1237 nash=108 hits=108" in out1
+
+
+def test_enumerate_jobs_deterministic_on_a_random_game(tmp_path, monkeypatch):
+    path = tmp_path / "random.game"
+    path.write_text(game_to_text(random_game(random.Random(23), 2, 3)))
+    monkeypatch.setenv("LEANFA_BUDGET", "700")
+    code1, out1 = run("enumerate", str(path), "--states", "2", "--find", "nash", "--jobs", "1")
+    code2, out2 = run("enumerate", str(path), "--states", "2", "--find", "nash", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "summary: pairs=700 nash=69 hits=69" in out1
 
 
 def test_export_dot_deterministic(grim_files):

@@ -314,3 +314,11 @@ def test_sequence_forcing_random_best_responses(pd, trigger_pair):
         for t in range(1, play.horizon + 1):
             assert play.action_at(t) == seq.action_at(t)
     assert found == 200
+
+
+def test_best_response_value_on_a_ring_deeper_than_the_recursion_limit(pd):
+    n = 3000
+    states = tuple(f"r{i}" for i in range(n))
+    transition = {(q, a): states[(i + 1) % n] for i, q in enumerate(states) for a in pd.actions1}
+    ring = Machine(2, states, "r0", {q: "C" for q in states}, transition)
+    assert best_response_value(ring, pd) == 3

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -172,3 +173,17 @@ def test_parse_game_duplicate_cell():
 def test_game_equality_ignores_name(pd):
     renamed = parse_game(PD_TEXT.replace("game pd", "game other"))
     assert renamed == pd
+
+
+def test_payoff_table_is_frozen_and_pickles():
+    rng = random.Random(5)
+    game = random_game(rng)
+    table = dict(game.payoff)
+    copy = StageGame("copy", game.actions1, game.actions2, table)
+    table[("a0", "b0")] = PayoffProfile(F(99), F(99))  # the caller's dict stays theirs
+    assert copy == game and hash(copy) == hash(game)
+    with pytest.raises(TypeError):
+        game.payoff[("a0", "b0")] = PayoffProfile(F(99), F(99))
+    back = pickle.loads(pickle.dumps(game))
+    assert back == game and hash(back) == hash(game)
+    assert back.name == game.name and back.payoff == game.payoff

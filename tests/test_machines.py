@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -321,3 +322,20 @@ def test_canonical_form_prunes_and_relabels(pd, grim1):
     )
     assert canonical_form(padded, pd) == canonical_form(grim1, pd)
     assert len(canonical_form(padded, pd).states) == 2
+
+
+def test_machine_maps_are_frozen_and_pickle():
+    rng = random.Random(6)
+    game = random_game(rng, 2, 3)
+    m = random_machine(rng, 2, game, 3)
+    output, transition = dict(m.output), dict(m.transition)
+    copy = Machine(2, m.states, m.initial, output, transition)
+    output["s0"], transition[("s0", "a0")] = "other", "s9"  # the caller's dicts stay theirs
+    assert copy == m and hash(copy) == hash(m)
+    with pytest.raises(TypeError):
+        m.output["s0"] = "b1"
+    with pytest.raises(TypeError):
+        m.transition[("s0", "a0")] = "s1"
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and hash(back) == hash(m)
+    assert back.name == m.name and back.output == m.output and back.transition == m.transition
