@@ -345,6 +345,8 @@ def _cmd_enumerate(args, out) -> int:
         raise _UsageError("--states must be a positive state count")
     if args.threat is not None and args.threat < 0:
         raise _UsageError("--threat must be a non-negative state count")
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be a positive worker count")
     if args.find in ("ar", "lean") and args.measure is None:
         raise _UsageError(f"--find {args.find} requires --measure")
     try:

@@ -75,8 +75,12 @@ class SearchBound:
     max_threat_states: int
 
     def __post_init__(self):
-        if self.max_total_states < 1 or self.max_threat_states < 0:
-            raise ValueError("bounds must be positive")
+        if self.max_total_states < 1:
+            raise ValueError(f"state bound must be at least 1, got {self.max_total_states}")
+        if self.max_threat_states < 0:
+            raise ValueError(
+                f"threat-state bound must be non-negative, got {self.max_threat_states}"
+            )
 
     def __str__(self) -> str:
         return f"states<={self.max_total_states} threat<={self.max_threat_states}"
@@ -187,7 +191,12 @@ def _structures(n: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 
 def _pool_rows(
-    game: StageGame, player: PlayerId, max_states: int, max_threat: int
+    game: StageGame,
+    player: PlayerId,
+    max_states: int,
+    max_threat: int,
+    measure: Measure | None = None,
+    below: int = 0,
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """Canonical machines up to `max_states` states, as flat integer rows.
 
@@ -197,16 +206,23 @@ def _pool_rows(
     both in the game's declared order.  `threats` lists the threat states:
     absorbing states whose output is a forcing action.  All rows of one
     transition structure share one `table` object.
+
+    Given a `measure`, a transition structure none of whose rows can score
+    below `below` is skipped before its outputs are enumerated; the rows
+    of the other structures still come with every value.
     """
     own = game.actions(player)
     degree = len(game.actions(opponent(player)))
     force = forcing_actions(game, player)
     forcing = frozenset(k for k, a in enumerate(own) if a in force)
+    loops = [(q,) * degree for q in range(max_states)]  # an absorbing state's row
     for n in range(1, max_states + 1):
         for table in _structures(n, degree):
-            absorbing = [
-                q for q in range(n) if all(t == q for t in table[q * degree : (q + 1) * degree])
-            ]
+            absorbing = [q for q in range(n) if table[q * degree : (q + 1) * degree] == loops[q]]
+            if measure is not None:
+                most = min(len(absorbing), max_threat, len(forcing))
+                if _structure_floor(n, table, absorbing, most, measure) >= below:
+                    continue
             for outs in itertools.product(range(len(own)), repeat=n):
                 absorbing_outputs = [outs[q] for q in absorbing]
                 if len(set(absorbing_outputs)) != len(absorbing_outputs):
@@ -271,6 +287,24 @@ def _row_measure(
     return len(table) - sum(table.count(q) for q in threats)
 
 
+def _structure_floor(
+    n: int, table: tuple[int, ...], absorbing: list[int], most: int, measure: Measure
+) -> int:
+    """Least `_row_measure` over the rows of one transition structure.
+
+    A row's threat states are absorbing states with distinct forcing
+    outputs, within the threat cap, so there are at most `most` of them;
+    the least transition count makes the most-entered absorbing states the
+    threats.
+    """
+    if measure is Measure.TOTAL_STATES:
+        return n
+    if measure is Measure.NORMAL_STATES:
+        return n - most
+    entered = sorted((table.count(q) for q in absorbing), reverse=True)
+    return len(table) - sum(entered[:most])
+
+
 def _string_ranks(items: Sequence) -> list[int]:
     """Position of each item when the items are sorted by their string form."""
     ranks = [0] * len(items)
@@ -281,15 +315,23 @@ def _string_ranks(items: Sequence) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _measured_pool(
-    game: StageGame, player: PlayerId, max_states: int, max_threat: int, measure: Measure
+    game: StageGame,
+    player: PlayerId,
+    max_states: int,
+    max_threat: int,
+    measure: Measure,
+    below: int,
 ) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """(measure value, table, outputs) rows, in (value, Machine._key) order.
+    """(measure value, table, outputs) rows valued below `below`, in
+    (value, Machine._key) order.
 
-    The key of a pool machine compares its state count (its state names
-    are "0".."n-1"), then its output names, then its transition targets'
-    names with inputs in sorted-name order, all as strings.  Ranking the
-    integers by those strings orders the rows the same way without
-    building the machines.
+    Only transition structures that can hold such a row have their outputs
+    enumerated (`_structure_floor`); their rows are then scored exactly and
+    filtered.  The key of a pool machine compares its state count (its
+    state names are "0".."n-1"), then its output names, then its transition
+    targets' names with inputs in sorted-name order, all as strings.
+    Ranking the integers by those strings orders the rows the same way
+    without building the machines.
     """
     inputs = game.actions(opponent(player))
     degree = len(inputs)
@@ -298,18 +340,17 @@ def _measured_pool(
     by_name = sorted(range(degree), key=lambda k: inputs[k])
     scored = []
     table_key = last_table = None
-    for n, table, outs, threats in _pool_rows(game, player, max_states, max_threat):
+    rows = _pool_rows(game, player, max_states, max_threat, measure, below)
+    for n, table, outs, threats in rows:
+        value = _row_measure(n, table, threats, measure)
+        if value >= below:
+            continue
         if table is not last_table:  # the target ranks depend on the structure only
             last_table = table
             table_key = tuple(
                 target_rank[table[q * degree + k]] for q in range(n) for k in by_name
             )
-        key = (
-            _row_measure(n, table, threats, measure),
-            n,
-            tuple(out_rank[o] for o in outs),
-            table_key,
-        )
+        key = (value, n, tuple(out_rank[o] for o in outs), table_key)
         scored.append((key, table, outs))
     scored.sort(key=lambda row: row[0])
     return tuple((key[0], table, outs) for key, table, outs in scored)
@@ -371,16 +412,17 @@ def _deviation_candidates(
     """Machines with a strictly smaller measure, covering all such behaviors.
 
     Enumerated canonical machines come first in (measure, canonical key)
-    order; for the transition-count measure they are followed by punishing
+    order, drawn from a pool that holds only machines below the incumbent's
+    value; for the transition-count measure they are followed by punishing
     chain machines, which realize the acyclic-normal-part behaviors whose
     state count exceeds the enumeration cap.
     """
     cap = min(bound.max_total_states, _enumeration_cap(measure, incumbent_value, game, player))
     if cap >= 1:
-        rows = _measured_pool(game, player, cap, bound.max_threat_states, measure)
-        for value, table, outs in rows:
-            if value >= incumbent_value:
-                break  # pool is sorted by measure
+        rows = _measured_pool(
+            game, player, cap, bound.max_threat_states, measure, incumbent_value
+        )
+        for _, table, outs in rows:
             yield _row_machine(game, player, table, outs)
     if measure is Measure.NORMAL_TRANSITIONS:
         lo = max(cap, 1)

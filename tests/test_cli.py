@@ -201,7 +201,13 @@ def test_enumerate_zero_budget(monkeypatch):
 
 @pytest.mark.parametrize(
     "args",
-    [("--states", "0"), ("--states", "1", "--threat", "-1"), ("--states", "1", "--find", "lean")],
+    [
+        ("--states", "0"),
+        ("--states", "1", "--threat", "-1"),
+        ("--states", "1", "--find", "lean"),
+        ("--states", "1", "--jobs", "0"),
+        ("--states", "1", "--jobs", "-3"),
+    ],
 )
 def test_enumerate_bad_arguments_are_usage_errors(args):
     code, out = run("enumerate", "pd", *args)

@@ -1,7 +1,8 @@
 """Differential tests for the deviation search's fast paths.
 
-The integer-scored pool is checked against scoring whole `Machine`s with
-`measure_value` and sorting by `(value, Machine._key)`; the witness-free
+The integer-scored pool, bounded by a measure value, is checked against
+scoring whole `Machine`s with `measure_value`, sorting by
+`(value, Machine._key)` and cutting at the bound; the witness-free
 Nash screen is checked against `is_best_response` and `is_nash`.
 """
 
@@ -63,11 +64,19 @@ def test_measured_pool_matches_machine_scoring(game, player, top):
     for measure in Measure:
         for max_states in range(1, top + 1):
             for max_threat in (0, 1, 2):
-                rows = _measured_pool(game, player, max_states, max_threat, measure)
-                fast = [(v, _row_machine(game, player, t, o)) for v, t, o in rows]
-                assert fast == reference_measured_pool(
+                reference = reference_measured_pool(
                     game, player, max_states, max_threat, measure
-                ), (measure, max_states, max_threat)
+                )
+                largest = reference[-1][0] if reference else 0
+                for below in range(largest + 2):
+                    rows = _measured_pool(game, player, max_states, max_threat, measure, below)
+                    fast = [(v, _row_machine(game, player, t, o)) for v, t, o in rows]
+                    assert fast == [(v, m) for v, m in reference if v < below], (
+                        measure,
+                        max_states,
+                        max_threat,
+                        below,
+                    )
 
 
 def test_nash_deviator_agrees_with_is_nash():

@@ -120,6 +120,17 @@ def test_enumerate_yields_reachable_canonical_distinct(pd):
         assert len(classify_states(m, pd).threat_states) <= 1
 
 
+def test_search_bound_rejects_a_state_bound_below_one():
+    with pytest.raises(ValueError, match=r"^state bound must be at least 1, got 0$"):
+        SearchBound(0, 0)
+
+
+def test_search_bound_rejects_a_negative_threat_bound():
+    with pytest.raises(ValueError, match=r"^threat-state bound must be non-negative, got -1$"):
+        SearchBound(2, -1)
+    assert SearchBound(2, 0).max_threat_states == 0
+
+
 def test_ar_grim_fails_with_always_cooperate_witness(pd, grim1, grim2):
     verdict = is_abreu_rubinstein(grim1, grim2, pd, Measure.TOTAL_STATES)
     assert verdict.result == FAILS

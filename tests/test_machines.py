@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from leanfa import (
     Machine,
@@ -322,6 +323,45 @@ def test_canonical_form_prunes_and_relabels(pd, grim1):
     )
     assert canonical_form(padded, pd) == canonical_form(grim1, pd)
     assert len(canonical_form(padded, pd).states) == 2
+
+
+# (seed, player, player-1 actions, player-2 actions, states) of a random machine
+machine_cases = st.tuples(
+    st.integers(0, 2**32),
+    st.sampled_from((1, 2)),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 6),
+)
+
+
+def _random_case(seed, player, size1, size2, n_states):
+    rng = random.Random(seed)
+    game = random_game(rng, size1, size2)
+    return game, random_machine(rng, player, game, n_states)
+
+
+@given(machine_cases)
+def test_canonical_form_is_idempotent(case):
+    game, m = _random_case(*case)
+    once = canonical_form(m, game)
+    assert canonical_form(once, game) == once
+
+
+@given(machine_cases, st.randoms(use_true_random=False))
+def test_canonical_form_ignores_state_names(case, shuffler):
+    game, m = _random_case(*case)
+    names = [f"r{k}" for k in range(len(m.states))]
+    shuffler.shuffle(names)
+    rename = dict(zip(m.states, names))
+    renamed = Machine(
+        m.player,
+        tuple(sorted(names)),
+        rename[m.initial],
+        {rename[q]: a for q, a in m.output.items()},
+        {(rename[q], a): rename[t] for (q, a), t in m.transition.items()},
+    )
+    assert canonical_form(renamed, game) == canonical_form(m, game)
 
 
 def test_machine_maps_are_frozen_and_pickle():
