@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cycles import budget_from_env
 from .equilibrium import (
     FAILS,
     HOLDS,
@@ -136,6 +136,8 @@ def _print_verdict(verdict: Verdict, out) -> None:
 
 
 def _cmd_simulate(args, out) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise _UsageError("--horizon must be a positive step count")
     ws = Workspace(_load_game(args.game))
     m1 = _load_machine(ws, args.machine1, 1)
     m2 = _load_machine(ws, args.machine2, 2)
@@ -196,7 +198,9 @@ def _cmd_check(args, out) -> int:
     return verdict.exit_code()
 
 
-def _parse_player(text: str, what: str) -> int:
+def _parse_player(text: str | None, what: str) -> int | None:
+    if text is None:
+        return None
     if text not in ("1", "2"):
         raise _UsageError(f"{what} expects a player id 1 or 2, got {text!r}")
     return int(text)
@@ -205,22 +209,30 @@ def _parse_player(text: str, what: str) -> int:
 def _cmd_seq(args, out) -> int:
     ws = Workspace(_load_game(args.game))
     seq = parse_sequence(args.sequence, ws.game)
+    irreducible = _parse_player(args.irreducible, "--irreducible")
+    foolable = _parse_player(args.foolable, "--foolable")
+    rigid = None
+    if args.rigid is not None:
+        if ":" not in args.rigid:
+            raise _UsageError("--rigid expects <player>:<action>[,<action>...]")
+        who, _, actions = args.rigid.partition(":")
+        player = _parse_player(who, "--rigid")
+        subset = frozenset(actions.split(","))
+        if not subset <= set(ws.game.actions(player)):
+            raise _UsageError(
+                f"--rigid actions {actions!r} are not all in player {player}'s actions"
+            )
+        rigid = player, subset
     print(f"sequence: {seq}", file=out)
     payoff = seq_payoff(seq, ws.game)
     print(f"payoff: {payoff}", file=out)
     enforce = is_strictly_enforceable_seq(seq, ws.game)
     print(f"strictly-enforceable: {'yes' if enforce else 'no'}", file=out)
-    if args.irreducible is not None:
-        player = _parse_player(args.irreducible, "--irreducible")
-        answer = is_irreducible(seq, player)
-        print(f"irreducible-{player}: {'yes' if answer else 'no'}", file=out)
-    if args.rigid is not None:
-        arg = args.rigid
-        if ":" not in arg:
-            raise _UsageError("--rigid expects <player>:<action>[,<action>...]")
-        who, _, actions = arg.partition(":")
-        player = _parse_player(who, "--rigid")
-        subset = frozenset(actions.split(","))
+    if irreducible is not None:
+        answer = is_irreducible(seq, irreducible)
+        print(f"irreducible-{irreducible}: {'yes' if answer else 'no'}", file=out)
+    if rigid is not None:
+        player, subset = rigid
         verdict = is_rigid(seq, player, subset, ws.game)
         label = ",".join(sorted(subset))
         if verdict.rigid:
@@ -231,14 +243,13 @@ def _cmd_seq(args, out) -> int:
                 f"(rotation offset {verdict.rotation_offset}, prefix {verdict.prefix_len})",
                 file=out,
             )
-    if args.foolable is not None:
-        player = _parse_player(args.foolable, "--foolable")
-        witness = is_foolable(seq, player, ws.game)
+    if foolable is not None:
+        witness = is_foolable(seq, foolable, ws.game)
         if witness is None:
-            print(f"foolable-{player}: no", file=out)
+            print(f"foolable-{foolable}: no", file=out)
         else:
             print(
-                f"foolable-{player}: yes (rotation offset {witness.rotation_offset}, "
+                f"foolable-{foolable}: yes (rotation offset {witness.rotation_offset}, "
                 f"s'={witness.action})",
                 file=out,
             )
@@ -338,6 +349,21 @@ def _print_hits(results, out) -> tuple[int, int]:
             hits += 1
             print(line, file=out)
     return nash_count, hits
+
+
+def budget_from_env() -> int:
+    """The LEANFA_BUDGET cap on enumerated pairs (default 1,000,000).
+
+    Raises ValueError unless the value is a non-negative integer.
+    """
+    text = os.environ.get("LEANFA_BUDGET", "1000000")
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"LEANFA_BUDGET must be a non-negative integer, got {text!r}")
+    return budget
 
 
 def _cmd_enumerate(args, out) -> int:

@@ -10,7 +10,6 @@ into the maximizing cycle.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,13 +113,12 @@ def path_payoff(path: MachinePath, game: StageGame, for_player: PlayerId) -> Fra
     """Mean stage payoff to `for_player` along the path, exact."""
     if not path.actions:
         raise ValueError("empty path has no payoff")
-    owner = path.machine.player
-    total = Fraction(0)
-    for q, a in zip(path.states, path.actions):
-        out = path.machine.output[q]
-        pair = (out, a) if owner == 1 else (a, out)
-        total += game.u(for_player, *pair)
-    return total / len(path.actions)
+    m = path.machine
+    pairs = [
+        (m.output[q], a) if m.player == 1 else (a, m.output[q])
+        for q, a in zip(path.states, path.actions)
+    ]
+    return game.mean_payoff(pairs).for_player(for_player)
 
 
 # --- exact maximum cycle mean -------------------------------------------------
@@ -442,95 +440,6 @@ def construct_best_response(machine: Machine, game: StageGame) -> Machine:
     return Machine(responder, states, "w0", output, transition, name=f"br{responder}")
 
 
-def subcycle_decompose(
-    path: MachinePath,
-) -> tuple[MachinePath, MachinePath] | None:
-    """Split a non-simple cycle at its first repeated state.
-
-    Returns the contiguous subcycle between the two occurrences and its
-    wrap-around complement, whose concatenation is the original cycle; the
-    original mean payoff is then a convex combination of the two parts.
-    Returns None when the cycle is simple.
-    """
-    if not path.is_cycle:
-        raise ValueError("not a cycle: endpoints differ")
-    inner = path.states[:-1]
-    m = len(inner)
-    split = None
-    for n in range(m):
-        for n2 in range(n + 1, m):
-            if inner[n] == inner[n2]:
-                split = (n + 1, n2 + 1)
-                break
-        if split:
-            break
-    if split is None:
-        return None
-    n, n2 = split
-    first = MachinePath(path.machine, path.states[n - 1 : n2], path.actions[n - 1 : n2 - 1])
-    wrap_states = path.states[n2 - 1 : m + 1] + path.states[1:n]
-    wrap_actions = path.actions[n2 - 1 : m] + path.actions[0 : n - 1]
-    second = MachinePath(path.machine, wrap_states, wrap_actions)
-    return first, second
-
-
-def budget_from_env() -> int:
-    """The LEANFA_BUDGET cap on simple cycles and enumerated pairs (default 1,000,000).
-
-    Raises ValueError unless the value is a non-negative integer.
-    """
-    text = os.environ.get("LEANFA_BUDGET", "1000000")
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ValueError(f"LEANFA_BUDGET must be a non-negative integer, got {text!r}")
-    return budget
-
-
-def enumerate_simple_cycles(
-    graph: ResponseGraph, budget: int | None = None
-) -> Iterator[MachinePath]:
-    """All simple cycles of the response graph, one per edge sequence.
-
-    Intended as an independent check on the maximum-cycle-mean computation;
-    guarded by a cycle-count budget (LEANFA_BUDGET overrides the default).
-    """
-    if budget is None:
-        budget = budget_from_env()
-    order = {v: i for i, v in enumerate(graph.nodes)}
-    emitted = 0
-    for v0 in graph.nodes:
-        base = order[v0]
-        path_states = [v0]
-        path_actions: list[str] = []
-
-        def walk(u: str):
-            nonlocal emitted
-            for e in graph.adj[u]:
-                if e.dst == v0:
-                    emitted += 1
-                    if emitted > budget:
-                        raise RuntimeError(
-                            f"simple-cycle budget {budget} exceeded; "
-                            "set LEANFA_BUDGET to raise it"
-                        )
-                    yield MachinePath(
-                        graph.machine,
-                        tuple(path_states) + (v0,),
-                        tuple(path_actions) + (e.action,),
-                    )
-                elif order[e.dst] > base and e.dst not in path_states:
-                    path_states.append(e.dst)
-                    path_actions.append(e.action)
-                    yield from walk(e.dst)
-                    path_states.pop()
-                    path_actions.pop()
-
-        yield from walk(v0)
-
-
 def is_sequence_forcing(
     machine: Machine, seq: ActionSeq, responder: PlayerId, game: StageGame
 ) -> tuple[bool, str]:
@@ -572,9 +481,7 @@ def is_sequence_forcing(
         q = machine.transition[(q, pair[resp])]
         phase = (phase + 1) % k
     cycle = walk[seen[(q, phase)] :]
-    cycle_mean = sum(
-        (game.u(responder, *seq.entries[ph]) for _, ph in cycle), Fraction(0)
-    ) / len(cycle)
+    cycle_mean = game.mean_payoff(seq.entries[ph] for _, ph in cycle).for_player(responder)
     if cycle_mean != value:
         return False, (
             f"following the sequence pays the responder {cycle_mean}, but the "

@@ -743,16 +743,3 @@ def simplify_to_lean(
                 break
     return current[0], current[1]
 
-
-def ar_implies_lean(
-    m1: Machine,
-    m2: Machine,
-    game: StageGame,
-    measure: Measure,
-    bound: SearchBound | None = None,
-) -> bool:
-    """Audit helper: an AR verdict at a bound implies a lean verdict at it."""
-    ar = is_abreu_rubinstein(m1, m2, game, measure, bound)
-    if not ar.holds:
-        return True
-    return is_lean(m1, m2, game, measure, bound).holds

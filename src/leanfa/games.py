@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 PlayerId = int
 
@@ -55,6 +56,10 @@ class StageGame:
     Equality and hashing are by the payoff table, not the name.  The table
     is a read-only view of a private copy, so the hash, computed once, and
     the equality key cannot go stale.
+
+    Arithmetic runs on integers: `scale` is the LCM of all payoff
+    denominators, and `scaled` maps each action pair to both payoffs times
+    `scale`.  `payoff_totals` is the one summation of stage payoffs.
     """
 
     name: str
@@ -84,6 +89,11 @@ class StageGame:
         )
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        scale = lcm(*(x.denominator for p in self.payoff.values() for x in p))
+        scaled = {cell: tuple(x.numerator * scale // x.denominator for x in p)
+                  for cell, p in self.payoff.items()}
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", MappingProxyType(scaled))
 
     def __reduce__(self):
         # a mappingproxy does not pickle; rebuilding from a plain dict also
@@ -99,8 +109,25 @@ class StageGame:
     def u(self, player: PlayerId, a1: str, a2: str) -> Fraction:
         return self.payoff[(a1, a2)].for_player(player)
 
-    def max_abs_payoff(self) -> Fraction:
-        return max(max(abs(p.p1), abs(p.p2)) for p in self.payoff.values())
+    def payoff_totals(self, pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[int, int]]:
+        """Both players' running payoff totals along `pairs`, times `scale`."""
+        scaled = self.scaled
+        s1 = s2 = 0
+        for pair in pairs:
+            x1, x2 = scaled[pair]
+            s1 += x1
+            s2 += x2
+            yield s1, s2
+
+    def mean_payoff(self, pairs: Iterable[tuple[str, str]]) -> PayoffProfile:
+        """Exact mean payoff profile over a nonempty run of action pairs."""
+        totals = list(self.payoff_totals(pairs))
+        return self.profile_of(totals[-1], len(totals))
+
+    def profile_of(self, total: tuple[int, int], steps: int) -> PayoffProfile:
+        """The mean profile of `steps` stage payoffs whose scaled totals are `total`."""
+        den = steps * self.scale
+        return PayoffProfile(Fraction(total[0], den), Fraction(total[1], den))
 
     def __eq__(self, other):
         return isinstance(other, StageGame) and self._key == other._key
@@ -140,23 +167,6 @@ def forcing_actions(game: StageGame, player: PlayerId) -> tuple[str, ...]:
         if reply == v:
             out.append(a)
     return tuple(out)
-
-
-def convex_combination(
-    profiles: Iterable[PayoffProfile], weights: Iterable[Fraction]
-) -> PayoffProfile:
-    """Componentwise weighted sum of payoff profiles, exact."""
-    profiles = list(profiles)
-    weights = [Fraction(w) for w in weights]
-    if len(profiles) != len(weights):
-        raise ValueError("invalid weights: length mismatch with profiles")
-    if any(w < 0 for w in weights):
-        raise ValueError("invalid weights: negative weight")
-    if sum(weights, Fraction(0)) != 1:
-        raise ValueError("invalid weights: weights must sum to 1")
-    p1 = sum((w * p.p1 for w, p in zip(weights, profiles)), Fraction(0))
-    p2 = sum((w * p.p2 for w, p in zip(weights, profiles)), Fraction(0))
-    return PayoffProfile(p1, p2)
 
 
 def is_enforceable(game: StageGame, profile: PayoffProfile) -> bool:

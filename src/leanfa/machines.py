@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -103,22 +102,23 @@ def validate_machine(machine: Machine, game: StageGame) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Play:
-    """Ultimately periodic play of a machine pair: minimal preperiod + cycle.
+class PeriodicWord:
+    """An ultimately periodic word: `preperiod` once, then `cycle` forever.
 
-    Position t (1-based) reads from the preperiod while t <= |preperiod|,
-    then cyclically from the cycle.
+    Subclasses supply the two tuples.  Position t (1-based) reads from the
+    preperiod while t <= |preperiod|, then cyclically from the cycle.
+    `action_at` reads the action pair at a position; a word of action pairs
+    is its own action word.
     """
 
-    preperiod: tuple[Step, ...]
-    cycle: tuple[Step, ...]
+    preperiod: tuple
+    cycle: tuple
 
     @property
     def horizon(self) -> int:
         return len(self.preperiod) + len(self.cycle)
 
-    def step_at(self, t: int) -> Step:
+    def at(self, t: int):
         if t < 1:
             raise ValueError("time points are 1-based")
         p = len(self.preperiod)
@@ -126,19 +126,26 @@ class Play:
             return self.preperiod[t - 1]
         return self.cycle[(t - p - 1) % len(self.cycle)]
 
+    def action_at(self, t: int) -> tuple[str, str]:
+        return self.at(t)
+
+
+@dataclass(frozen=True)
+class Play(PeriodicWord):
+    """Ultimately periodic play of a machine pair: minimal preperiod + cycle."""
+
+    preperiod: tuple[Step, ...]
+    cycle: tuple[Step, ...]
+
     def state_at(self, t: int) -> tuple[str, str]:
-        return self.step_at(t)[0]
+        return self.at(t)[0]
 
     def action_at(self, t: int) -> tuple[str, str]:
-        return self.step_at(t)[1]
+        return self.at(t)[1]
 
     @property
     def cycle_actions(self) -> tuple[tuple[str, str], ...]:
         return tuple(a for _, a in self.cycle)
-
-    @property
-    def preperiod_actions(self) -> tuple[tuple[str, str], ...]:
-        return tuple(a for _, a in self.preperiod)
 
 
 def simulate(m1: Machine, m2: Machine) -> Play:
@@ -168,35 +175,20 @@ def simulate(m1: Machine, m2: Machine) -> Play:
 
 def limit_mean_payoff(play: Play, game: StageGame) -> PayoffProfile:
     """Limit-of-means payoff profile; the preperiod vanishes in the limit."""
-    n = len(play.cycle)
-    p1 = sum((game.u(1, *a) for _, a in play.cycle), Fraction(0)) / n
-    p2 = sum((game.u(2, *a) for _, a in play.cycle), Fraction(0)) / n
-    return PayoffProfile(p1, p2)
+    return game.mean_payoff(a for _, a in play.cycle)
 
 
 def finite_mean_payoff(play: Play, game: StageGame, horizon: int) -> PayoffProfile:
     """Exact average payoff over the first `horizon` steps."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    total1 = Fraction(0)
-    total2 = Fraction(0)
     pre = len(play.preperiod)
-    cyc = len(play.cycle)
+    totals = [(0, 0), *game.payoff_totals(a for _, a in play.preperiod + play.cycle)]
+    # the first min(horizon, pre) + part steps, plus `full` whole cycles
     upto_pre = min(horizon, pre)
-    for _, a in play.preperiod[:upto_pre]:
-        total1 += game.u(1, *a)
-        total2 += game.u(2, *a)
-    remaining = horizon - upto_pre
-    if remaining:
-        cyc_sum1 = sum((game.u(1, *a) for _, a in play.cycle), Fraction(0))
-        cyc_sum2 = sum((game.u(2, *a) for _, a in play.cycle), Fraction(0))
-        full, part = divmod(remaining, cyc)
-        total1 += full * cyc_sum1
-        total2 += full * cyc_sum2
-        for _, a in play.cycle[:part]:
-            total1 += game.u(1, *a)
-            total2 += game.u(2, *a)
-    return PayoffProfile(total1 / horizon, total2 / horizon)
+    full, part = divmod(horizon - upto_pre, len(play.cycle))
+    (h1, h2), (e1, e2), (s1, s2) = totals[upto_pre + part], totals[-1], totals[pre]
+    return game.profile_of((h1 + full * (e1 - s1), h2 + full * (e2 - s2)), horizon)
 
 
 @dataclass(frozen=True)
@@ -300,26 +292,16 @@ def _group_by_key(keys: dict[int, object]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
 
 
-def suffix_partition(
-    pre_actions: tuple[tuple[str, str], ...], cyc_actions: tuple[tuple[str, str], ...]
-) -> tuple[tuple[int, ...], ...]:
+def suffix_partition(word: PeriodicWord) -> tuple[tuple[int, ...], ...]:
     """Partition times 1..H by equality of their infinite action suffixes.
 
     Comparing windows of length H = |preperiod| + |cycle| suffices: past the
     preperiod both suffixes are periodic, and agreement over a full period
     there implies agreement forever.
     """
-    horizon = len(pre_actions) + len(cyc_actions)
-    pre = len(pre_actions)
-    cyc = len(cyc_actions)
-
-    def action_at(t: int) -> tuple[str, str]:
-        if t <= pre:
-            return pre_actions[t - 1]
-        return cyc_actions[(t - pre - 1) % cyc]
-
+    horizon = word.horizon
     keys = {
-        t: tuple(action_at(t + n) for n in range(horizon)) for t in range(1, horizon + 1)
+        t: tuple(word.action_at(t + n) for n in range(horizon)) for t in range(1, horizon + 1)
     }
     return _group_by_key(keys)
 
@@ -327,7 +309,7 @@ def suffix_partition(
 def equivalence_relation(play: Play, which: Relation) -> EquivalenceClasses:
     pre, cyc = len(play.preperiod), len(play.cycle)
     if which is Relation.SUFFIX:
-        classes = suffix_partition(play.preperiod_actions, play.cycle_actions)
+        classes = suffix_partition(play)
     else:
         if which is Relation.STATE_PAIR:
             key = lambda t: play.state_at(t)

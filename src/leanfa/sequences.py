@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .games import (
@@ -22,25 +21,29 @@ from .games import (
     is_strictly_enforceable,
     opponent,
 )
-from .machines import Machine, Play, suffix_partition
+from .machines import Machine, PeriodicWord, suffix_partition
 
 
 @dataclass(frozen=True)
-class ActionSeq:
-    """A nonempty finite sequence of action pairs."""
+class ActionSeq(PeriodicWord):
+    """A nonempty finite sequence of action pairs, repeated forever.
+
+    As a periodic word it has no preperiod and `entries` as its cycle.
+    """
 
     entries: tuple[tuple[str, str], ...]
+    preperiod = ()
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("empty action sequence")
 
+    @property
+    def cycle(self) -> tuple[tuple[str, str], ...]:
+        return self.entries
+
     def __len__(self) -> int:
         return len(self.entries)
-
-    def action_at(self, t: int) -> tuple[str, str]:
-        """Entry at 1-based time t of the infinite repetition."""
-        return self.entries[(t - 1) % len(self.entries)]
 
     def rotation(self, offset: int) -> "ActionSeq":
         """The rotation starting at 1-based position `offset`."""
@@ -85,10 +88,7 @@ def validate_sequence(seq: ActionSeq, game: StageGame) -> None:
 
 
 def seq_payoff(seq: ActionSeq, game: StageGame) -> PayoffProfile:
-    k = len(seq)
-    p1 = sum((game.u(1, *e) for e in seq.entries), Fraction(0)) / k
-    p2 = sum((game.u(2, *e) for e in seq.entries), Fraction(0)) / k
-    return PayoffProfile(p1, p2)
+    return game.mean_payoff(seq.entries)
 
 
 def is_strictly_enforceable_seq(seq: ActionSeq, game: StageGame) -> bool:
@@ -185,15 +185,7 @@ def build_internal_threat_machines(
     return machines[0], machines[1]
 
 
-def _suffix_source(source: ActionSeq | Play):
-    if isinstance(source, ActionSeq):
-        return (), source.entries
-    return source.preperiod_actions, source.cycle_actions
-
-
-def incompatible(
-    source: ActionSeq | Play, t1: int, t2: int, player: PlayerId
-) -> bool:
+def incompatible(source: PeriodicWord, t1: int, t2: int, player: PlayerId) -> bool:
     """Whether times t1, t2 force distinct states on `player`'s machine.
 
     True when there is an offset at which the two own-action continuations
@@ -203,18 +195,10 @@ def incompatible(
     """
     if t1 < 1 or t2 < 1:
         raise ValueError("time points are 1-based")
-    pre, cyc = _suffix_source(source)
-    horizon = len(pre) + len(cyc)
     own = player - 1
     other = opponent(player) - 1
-
-    def at(t: int) -> tuple[str, str]:
-        if t <= len(pre):
-            return pre[t - 1]
-        return cyc[(t - len(pre) - 1) % len(cyc)]
-
-    for n in range(horizon):
-        a, b = at(t1 + n), at(t2 + n)
+    for n in range(source.horizon):
+        a, b = source.action_at(t1 + n), source.action_at(t2 + n)
         if a[own] != b[own]:
             return True
         if a[other] != b[other]:
@@ -224,7 +208,7 @@ def incompatible(
 
 def suffix_classes(seq: ActionSeq) -> tuple[tuple[int, ...], ...]:
     """Suffix-equality classes of positions 1..k in the repeated sequence."""
-    return suffix_partition((), seq.entries)
+    return suffix_partition(seq)
 
 
 def is_irreducible(seq: ActionSeq, player: PlayerId) -> bool:
@@ -265,17 +249,17 @@ def is_rigid(
     if not outputs <= set(game.actions(player)):
         raise ValueError("outputs must be a subset of the player's actions")
     j = opponent(player)
-    target = seq_payoff(seq, game).for_player(j)
     k = len(seq)
+    *_, target = game.payoff_totals(seq.entries)
     own = player - 1
     for offset in range(1, k + 1):
-        rotated = seq.rotation(offset)
-        total = Fraction(0)
-        for n in range(1, k):
-            total += game.u(j, *rotated.entries[n - 1])
-            if rotated.entries[0][own] in outputs and rotated.entries[n][own] in outputs:
-                if total / n == target:
-                    return RigidityVerdict(False, offset, n)
+        rotated = seq.rotation(offset).entries
+        if rotated[0][own] not in outputs:
+            continue
+        for n, total in enumerate(game.payoff_totals(rotated[: k - 1]), 1):
+            # the prefix mean total/n equals the sequence mean target/k
+            if rotated[n][own] in outputs and total[j - 1] * k == target[j - 1] * n:
+                return RigidityVerdict(False, offset, n)
     return RigidityVerdict(True, None, None)
 
 
@@ -297,22 +281,21 @@ def is_foolable(
     None.
     """
     j = opponent(player)
-    target = seq_payoff(seq, game).for_player(j)
     k = len(seq)
+    *_, target = game.payoff_totals(seq.entries)
     for offset in range(1, k + 1):
         rotated = seq.rotation(offset)
+        # prefix[m]: the opponent's scaled total over the rotation's first m entries
+        prefix = [0, *(total[j - 1] for total in game.payoff_totals(rotated.entries[: k - 1]))]
         last_own = rotated.entries[k - 1][player - 1]
         for s_prime in game.actions(j):
             pair = (last_own, s_prime) if player == 1 else (s_prime, last_own)
-            bonus = game.u(j, *pair)
-            ok = True
-            for n in range(1, k + 1):
-                total = sum(
-                    (game.u(j, *rotated.entries[m - 1]) for m in range(n, k)), Fraction(0)
-                )
-                if (total + bonus) / (k - n + 1) <= target:
-                    ok = False
-                    break
-            if ok:
+            bonus = game.scaled[pair][j - 1]
+            # the tail from entry n, its last entry's opponent action replaced
+            # by s_prime, must beat the sequence mean for every n
+            if all(
+                (prefix[k - 1] - prefix[n - 1] + bonus) * k > target[j - 1] * (k - n + 1)
+                for n in range(1, k + 1)
+            ):
                 return FoolabilityWitness(offset, rotated, s_prime)
     return None

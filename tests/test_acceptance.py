@@ -18,7 +18,6 @@ from leanfa import (
     build_response_graph,
     build_trigger_machines,
     enumerate_machines,
-    enumerate_simple_cycles,
     grim_trigger,
     is_abreu_rubinstein,
     is_best_response,
@@ -35,13 +34,13 @@ from leanfa import (
     path_payoff,
     simplify_to_lean,
     simulate,
-    ar_implies_lean,
     audit_pair,
     best_response_value,
 )
 from leanfa.equilibrium import FAILS, HOLDS
 
 from conftest import random_game, random_machine
+from oracles import ar_implies_lean, enumerate_simple_cycles
 
 F = Fraction
 

@@ -215,6 +215,33 @@ def test_enumerate_bad_arguments_are_usage_errors(args):
     assert out == ""
 
 
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+def test_simulate_bad_horizon_is_usage_error(grim_files, horizon):
+    # the full report used to come first, then exit 65
+    code, out = run("simulate", "pd", *grim_files, "--horizon", horizon)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--rigid", "1:X"),
+        ("--rigid", "2:C,X"),
+        ("--rigid", "1:"),
+        ("--rigid", "3:C"),
+        ("--rigid", "1C"),
+        ("--irreducible", "0"),
+        ("--foolable", "x"),
+    ],
+)
+def test_seq_bad_arguments_are_usage_errors(args):
+    # an action outside the player's set used to exit 65 after the report
+    code, out = run("seq", "pd", "1*(C,C) 1*(C,D)", "--foolable", "1", *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_python_m_entry_point():
     src = Path(leanfa.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -11,19 +11,17 @@ from leanfa import (
     build_internal_threat_machines,
     build_trigger_machines,
     construct_best_response,
-    convex_combination,
-    enumerate_simple_cycles,
     is_sequence_forcing,
     limit_mean_payoff,
     max_mean_cycle,
     parse_sequence,
     path_payoff,
     simulate,
-    subcycle_decompose,
 )
 from leanfa.games import PayoffProfile
 
 from conftest import random_game, random_machine
+from oracles import convex_combination, enumerate_simple_cycles, subcycle_decompose
 
 F = Fraction
 

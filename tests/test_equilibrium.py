@@ -21,9 +21,10 @@ from leanfa import (
     parse_sequence,
     simplify_to_lean,
     simulate,
-    ar_implies_lean,
 )
 from leanfa.equilibrium import FAILS, HOLDS, HOLDS_WITHIN_BOUND
+
+from oracles import ar_implies_lean
 
 F = Fraction
 

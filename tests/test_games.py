@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,6 @@ from leanfa import (
     ParseError,
     PayoffProfile,
     StageGame,
-    convex_combination,
     forcing_actions,
     is_enforceable,
     is_strictly_enforceable,
@@ -20,6 +20,7 @@ from leanfa import (
 from leanfa.games import game_to_text
 
 from conftest import random_game
+from oracles import convex_combination
 
 F = Fraction
 
@@ -187,3 +188,20 @@ def test_payoff_table_is_frozen_and_pickles():
     back = pickle.loads(pickle.dumps(game))
     assert back == game and hash(back) == hash(game)
     assert back.name == game.name and back.payoff == game.payoff
+
+
+def test_scaled_table_is_exact_integers_and_frozen(pd):
+    rng = random.Random(8)
+    for _ in range(50):
+        game = random_game(rng, 2, 3)
+        values = [x for p in game.payoff.values() for x in p]
+        assert game.scale == lcm(*(x.denominator for x in values))
+        for cell, profile in game.payoff.items():
+            scaled = game.scaled[cell]
+            assert all(type(x) is int for x in scaled)
+            assert tuple(F(x, game.scale) for x in scaled) == tuple(profile)
+    assert pd.scale == 1 and pd.scaled[("C", "D")] == (-1, 3)
+    with pytest.raises(TypeError):
+        game.scaled[("a0", "b0")] = (0, 0)
+    back = pickle.loads(pickle.dumps(game))
+    assert back.scale == game.scale and back.scaled == game.scaled

@@ -24,7 +24,10 @@ from leanfa import (
     simulate,
 )
 
+from leanfa.equilibrium import nash_deviator
+
 from conftest import random_game, random_machine
+from oracles import max_abs_payoff
 
 F = Fraction
 
@@ -120,7 +123,7 @@ def test_finite_mean_converges_to_limit_mean():
         if p == 0:
             assert finite == limit
         else:
-            slack = 2 * game.max_abs_payoff() * p / horizon
+            slack = 2 * max_abs_payoff(game) * p / horizon
             assert abs(finite.p1 - limit.p1) <= slack
             assert abs(finite.p2 - limit.p2) <= slack
 
@@ -348,20 +351,37 @@ def test_canonical_form_is_idempotent(case):
     assert canonical_form(once, game) == once
 
 
-@given(machine_cases, st.randoms(use_true_random=False))
-def test_canonical_form_ignores_state_names(case, shuffler):
-    game, m = _random_case(*case)
+def _renamed(m, shuffler):
     names = [f"r{k}" for k in range(len(m.states))]
     shuffler.shuffle(names)
     rename = dict(zip(m.states, names))
-    renamed = Machine(
+    return Machine(
         m.player,
         tuple(sorted(names)),
         rename[m.initial],
         {rename[q]: a for q, a in m.output.items()},
         {(rename[q], a): rename[t] for (q, a), t in m.transition.items()},
     )
+
+
+@given(machine_cases, st.randoms(use_true_random=False))
+def test_canonical_form_ignores_state_names(case, shuffler):
+    game, m = _random_case(*case)
+    renamed = _renamed(m, shuffler)
     assert canonical_form(renamed, game) == canonical_form(m, game)
+
+
+@given(machine_cases, st.integers(1, 4), st.randoms(use_true_random=False))
+def test_renaming_states_leaves_play_and_verdicts_unchanged(case, opp_states, shuffler):
+    game, m = _random_case(*case)
+    other = random_machine(random.Random(case[0] + 1), 3 - m.player, game, opp_states)
+    renamed = _renamed(m, shuffler)
+    pair = lambda x: (x, other) if x.player == 1 else (other, x)
+    play, play_renamed = simulate(*pair(m)), simulate(*pair(renamed))
+    for word in (lambda p: p.preperiod, lambda p: p.cycle):
+        assert [a for _, a in word(play)] == [a for _, a in word(play_renamed)]
+    assert limit_mean_payoff(play, game) == limit_mean_payoff(play_renamed, game)
+    assert nash_deviator(*pair(m), game) == nash_deviator(*pair(renamed), game)
 
 
 def test_machine_maps_are_frozen_and_pickle():

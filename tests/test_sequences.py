@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from leanfa import (
     ActionSeq,
     ParseError,
     PayoffProfile,
+    Play,
     build_internal_threat_machines,
     build_trigger_machines,
     incompatible,
@@ -21,6 +24,8 @@ from leanfa import (
     simulate,
     suffix_classes,
 )
+
+from leanfa.machines import suffix_partition
 
 from conftest import random_game, random_machine
 
@@ -271,3 +276,17 @@ def test_foolability_witnesses_are_valid(pd):
                 _check_foolability_witness(s, player, w, pd)
                 tested += 1
     assert tested > 50
+
+
+pd_entries = st.lists(st.tuples(st.sampled_from("CD"), st.sampled_from("CD")), min_size=1, max_size=6)
+
+
+@given(pd_entries, st.sampled_from((1, 2)))
+def test_sequence_and_its_play_agree_on_suffixes_and_incompatibility(entries, player):
+    # a play that runs the sequence as its cycle from step 1 is the same word
+    s = ActionSeq(tuple(entries))
+    play = Play((), tuple(((f"p{n}", f"q{n}"), e) for n, e in enumerate(s.entries)))
+    assert suffix_partition(s) == suffix_partition(play)
+    times = range(1, 2 * len(s) + 1)
+    for t1, t2 in itertools.product(times, times):
+        assert incompatible(s, t1, t2, player) == incompatible(play, t1, t2, player)
