@@ -296,9 +296,13 @@ def _cmd_seq(args, out) -> int:
     return 0
 
 
-def _examine_pair(task) -> tuple[bool, str | None]:
-    """Check one indexed pair; returns (is nash, hit line or None)."""
-    game, i, j, m1, m2, find, measure_text, audit_structure = task
+def _examine_pair(work, i: int, j: int) -> tuple[bool, str | None]:
+    """Check pair (i, j) of an enumeration; returns (is nash, hit line or None).
+
+    `work` is (game, pool1, pool2, find, measure text, audit structure).
+    """
+    game, pool1, pool2, find, measure_text, audit_structure = work
+    m1, m2 = pool1[i], pool2[j]
     if nash_deviator(m1, m2, game) is not None:
         return False, None
     payoff = limit_mean_payoff(simulate(m1, m2), game)
@@ -331,8 +335,18 @@ def _examine_pair(task) -> tuple[bool, str | None]:
     return True, line
 
 
-def _examine_chunk(tasks) -> list[tuple[bool, str | None]]:
-    return [_examine_pair(t) for t in tasks]
+# the enumeration a --jobs worker process checks pairs of, set once per
+# worker by the pool's initializer so that tasks carry only pair indices
+_worker_work = None
+
+
+def _start_worker(work) -> None:
+    global _worker_work
+    _worker_work = work
+
+
+def _examine_chunk(pairs: list[tuple[int, int]]) -> list[tuple[bool, str | None]]:
+    return [_examine_pair(_worker_work, i, j) for i, j in pairs]
 
 
 def _chunks(items, size: int):
@@ -388,30 +402,19 @@ def _cmd_enumerate(args, out) -> int:
     total = len(pool1) * len(pool2)
     n_pairs = min(total, budget)
     pairs = itertools.islice(itertools.product(range(len(pool1)), range(len(pool2))), budget)
-    tasks = (
-        (
-            ws.game,
-            i,
-            j,
-            pool1[i],
-            pool2[j],
-            args.find,
-            args.measure,
-            args.audit == "structure",
-        )
-        for i, j in pairs
-    )
+    work = (ws.game, pool1, pool2, args.find, args.measure, args.audit == "structure")
     if args.jobs > 1 and n_pairs > 1:
         # imap hands chunk results back in canonical pair order, so output
         # is byte-identical to a sequential run
         import multiprocessing
 
         step = max(1, n_pairs // (args.jobs * 4))
-        with multiprocessing.Pool(args.jobs) as pool:
-            chunks = pool.imap(_examine_chunk, _chunks(tasks, step))
+        with multiprocessing.Pool(args.jobs, initializer=_start_worker, initargs=(work,)) as pool:
+            chunks = pool.imap(_examine_chunk, _chunks(pairs, step))
             nash_count, hits = _print_hits(itertools.chain.from_iterable(chunks), out)
     else:
-        nash_count, hits = _print_hits(map(_examine_pair, tasks), out)
+        results = (_examine_pair(work, i, j) for i, j in pairs)
+        nash_count, hits = _print_hits(results, out)
     if total > budget:
         print(f"truncated: pair budget {budget} exceeded, partial results", file=out)
     print(f"summary: pairs={n_pairs} nash={nash_count} hits={hits}", file=out)

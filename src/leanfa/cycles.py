@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .games import PlayerId, StageGame, opponent
 from .machines import Machine, reachable_states, validate_machine
@@ -128,19 +128,25 @@ def path_payoff(path: MachinePath, game: StageGame, for_player: PlayerId) -> Fra
 # ints, and a mean comes out as a pair (num, den) of ints.  Only the final
 # value becomes a Fraction, num / (den * scale), so results stay exact.
 
-Arc = tuple[int, str, str, int]  # (index into the edge list, src, dst, integer weight)
+Node = Hashable  # a state name, or a state index on a machine's integer table
+Arc = tuple[int, Node, Node, int]  # (index into the edge list, src, dst, integer weight)
 
 
-def _scc_list(nodes: tuple[str, ...], succ: dict[str, list[str]]) -> list[list[str]]:
-    """Tarjan's strongly connected components, iterative, deterministic order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    comps: list[list[str]] = []
-    work: list[tuple[str, Iterator[str]]] = []  # the call stack of recursive Tarjan
+def _scc_list(nodes: Sequence[Node], succ: Mapping[Node, Sequence[Node]]) -> list[list[Node]]:
+    """Tarjan's strongly connected components of the nodes reachable from
+    `nodes`, iterative, deterministic order.
 
-    def visit(v: str) -> None:
+    A component comes out only after every component it reaches, so the
+    list runs sinks first.
+    """
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    stack: list[Node] = []
+    on_stack: set[Node] = set()
+    comps: list[list[Node]] = []
+    work: list[tuple[Node, Iterator[Node]]] = []  # the call stack of recursive Tarjan
+
+    def visit(v: Node) -> None:
         index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
@@ -175,7 +181,7 @@ def _scc_list(nodes: tuple[str, ...], succ: dict[str, list[str]]) -> list[list[s
     return comps
 
 
-def _karp(comp: list[str], arcs: list[Arc]) -> tuple[int, int]:
+def _karp(comp: list[Node], arcs: list[Arc]) -> tuple[int, int]:
     """Karp's maximum cycle mean of one strongly connected component, as (num, den).
 
     D[k][v] is the best total weight of a k-edge walk from comp[0]; the
@@ -184,12 +190,12 @@ def _karp(comp: list[str], arcs: list[Arc]) -> tuple[int, int]:
     costs O(n) rather than O(n * edges).
     """
     n = len(comp)
-    succ: dict[str, list[tuple[str, int]]] = {v: [] for v in comp}
+    succ: dict[Node, list[tuple[Node, int]]] = {v: [] for v in comp}
     for _, src, dst, w in arcs:
         succ[src].append((dst, w))
-    rows: list[dict[str, int]] = [{comp[0]: 0}]
+    rows: list[dict[Node, int]] = [{comp[0]: 0}]
     for _ in range(n):
-        row: dict[str, int] = {}
+        row: dict[Node, int] = {}
         for u, du in rows[-1].items():
             for v, w in succ[u]:
                 cand = du + w
@@ -243,13 +249,6 @@ def _largest(means: Iterable[tuple[int, int]]) -> tuple[int, int]:
         if best_num is None or num * best_den > best_num * den:
             best_num, best_den = num, den
     return best_num, best_den
-
-
-def _max_cycle_mean(nodes: tuple[str, ...], edges: list[REdge]) -> Fraction:
-    """The responder's maximum cycle mean over a graph, value only."""
-    scale, scored = _component_means(nodes, edges, lambda e: e.w_resp)
-    num, den = _largest(mean for mean, _, _ in scored)
-    return Fraction(num, den * scale)
 
 
 def _potentials(comp: list[str], arcs: list[tuple[str, str, int]]) -> dict[str, int]:
@@ -376,11 +375,55 @@ def max_mean_cycle(graph: ResponseGraph) -> tuple[Fraction, MachinePath]:
     return mu, witness
 
 
+def _best_reachable(
+    machine: Machine, game: StageGame, roots: Sequence[int]
+) -> list[tuple[int, int] | None]:
+    """The best responder cycle mean reachable from each state that `roots` reach.
+
+    The responder's graph runs on the machine's integer table: from state
+    q, the responder's k-th action leads to `_nxt[q * d + k]` and pays it
+    the game's scaled payoff.  Tarjan from the root states finds the
+    components they reach sinks first, so one pass folds each component's
+    own Karp mean (if it holds a cycle) with the best of the components it
+    leads to.  A mean is (num, den) on the scaled payoffs; a state the
+    roots do not reach gets None.
+    """
+    inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
+    d = len(inputs)
+    slot = 2 - machine.player  # the responder's entry in a payoff pair
+    weight = [
+        [game.scaled[(o, a) if machine.player == 1 else (a, o)][slot] for a in inputs]
+        for o in outs
+    ]
+    succ = {q: nxt[q * d : (q + 1) * d] for q in range(len(outs))}
+    comps = _scc_list(roots, succ)
+    comp_of = [-1] * len(outs)
+    for c, comp in enumerate(comps):
+        for q in comp:
+            comp_of[q] = c
+    best: list[tuple[int, int]] = []
+    for c, comp in enumerate(comps):
+        arcs: list[Arc] = []
+        means = []
+        for q in comp:
+            for k, dst in enumerate(succ[q]):
+                if comp_of[dst] == c:
+                    arcs.append((q * d + k, q, dst, weight[q][k]))
+                else:
+                    means.append(best[comp_of[dst]])
+        if arcs:
+            means.append(_karp(comp, arcs))
+        best.append(_largest(means))
+    return [best[c] if c >= 0 else None for c in comp_of]
+
+
 @lru_cache(maxsize=None)
 def best_response_value(machine: Machine, game: StageGame) -> Fraction:
     """Best limit-of-means payoff achievable against `machine`."""
-    graph = build_response_graph(machine, game)
-    return _max_cycle_mean(graph.nodes, graph.edges())
+    validate_machine(machine, game)
+    start = machine._start
+    num, den = _best_reachable(machine, game, (start,))[start]
+    return Fraction(num, den * game.scale)
 
 
 def construct_best_response(machine: Machine, game: StageGame) -> Machine:
@@ -453,13 +496,14 @@ def is_sequence_forcing(
     is strictly below the best-response value.  Under limit-of-means a play
     is payoff-maximal exactly when its eventual cycle attains that value, so
     (3) makes any single deviation forfeit optimality forever while (1)+(2)
-    pin every non-deviating best response to the sequence itself.
+    pin every non-deviating best response to the sequence itself.  The
+    off-walk steps' cycle means come from one pass over the components of
+    the response graph that those steps reach.
     """
     if machine.player == responder:
         raise ValueError("responder must be the machine owner's opponent")
     if not seq.entries:
         raise ValueError("empty action sequence")
-    graph = build_response_graph(machine, game)
     value = best_response_value(machine, game)
     k = len(seq)
     own = machine.player - 1
@@ -501,33 +545,21 @@ def is_sequence_forcing(
         walk_action[state] = a
 
     walk_edges = {(state, seq.entries[ph][resp]) for state, ph in walk}
-    memo: dict[str, Fraction] = {}
-
-    def best_from(start: str) -> Fraction:
-        if start not in memo:
-            # best cycle mean within the part of the graph reachable from `start`
-            seen_states = [start]
-            seen_set = {start}
-            i = 0
-            while i < len(seen_states):
-                u = seen_states[i]
-                i += 1
-                for e in graph.adj[u]:
-                    if e.dst not in seen_set:
-                        seen_set.add(e.dst)
-                        seen_states.append(e.dst)
-            edges = [e for u in seen_states for e in graph.adj[u]]
-            memo[start] = _max_cycle_mean(tuple(seen_states), edges)
-        return memo[start]
-
-    for q in graph.nodes:
-        for e in graph.adj[q]:
-            if (q, e.action) in walk_edges:
-                continue
-            attainable = best_from(e.dst)
-            if attainable >= value:
-                return False, (
-                    f"deviating with {e.action} at state {q} still allows cycle "
-                    f"mean {attainable}; a best response may leave the sequence"
-                )
+    actions = game.actions(responder)
+    index = {q: i for i, q in enumerate(machine.states)}
+    off_walk = [
+        (q, a, index[machine.transition[(q, a)]])
+        for q in reachable_states(machine, actions)
+        for a in actions
+        if (q, a) not in walk_edges
+    ]
+    best = _best_reachable(machine, game, [dst for _, _, dst in off_walk])
+    for q, a, dst in off_walk:
+        num, den = best[dst]
+        if num * value.denominator >= value.numerator * den * game.scale:
+            return False, (
+                f"deviating with {a} at state {q} still allows cycle "
+                f"mean {Fraction(num, den * game.scale)}; a best response may leave "
+                "the sequence"
+            )
     return True, "every best response must replay the sequence from the first step"

@@ -22,16 +22,11 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cycles import best_response_value, construct_best_response, is_sequence_forcing
 from .games import PlayerId, StageGame, forcing_actions, is_strictly_enforceable, opponent
-from .machines import (
-    Machine,
-    classify_states,
-    limit_mean_payoff,
-    simulate,
-)
+from .machines import Machine, classify_states, cycle_totals, simulate
 from .sequences import (
     ActionSeq,
     incompatible,
@@ -128,24 +123,29 @@ class Verdict:
         return {HOLDS: 0, FAILS: 1, HOLDS_WITHIN_BOUND: 2}[self.result]
 
 
+def _oriented(i: PlayerId, m_i: Machine, m_j: Machine):
+    return (m_i, m_j) if i == 1 else (m_j, m_i)
+
+
 def is_best_response(m_i: Machine, m_j: Machine, game: StageGame) -> bool:
     """Exact check that m_i's limit-of-means payoff attains the best-response value."""
     if m_i.player == m_j.player:
         raise ValueError("machines must belong to opposite players")
-    play = simulate(m_i, m_j) if m_i.player == 1 else simulate(m_j, m_i)
-    payoff = limit_mean_payoff(play, game).for_player(m_i.player)
-    return payoff == best_response_value(m_j, game)
+    *totals, steps = cycle_totals(*_oriented(m_i.player, m_i, m_j), game)
+    return game.mean_equals(totals[m_i.player - 1], steps, best_response_value(m_j, game))
 
 
 def nash_deviator(m1: Machine, m2: Machine, game: StageGame) -> PlayerId | None:
     """The first player whose payoff falls short of its best-response value.
 
-    None means the pair is a Nash equilibrium.  No witness is built.
+    None means the pair is a Nash equilibrium.  No witness is built, and
+    the payoffs are compared as integer totals.
     """
-    payoff = limit_mean_payoff(simulate(m1, m2), game)
-    for i, m_j in ((1, m2), (2, m1)):
-        if payoff.for_player(i) != best_response_value(m_j, game):
-            return i
+    total1, total2, steps = cycle_totals(m1, m2, game)
+    if not game.mean_equals(total1, steps, best_response_value(m2, game)):
+        return 1
+    if not game.mean_equals(total2, steps, best_response_value(m1, game)):
+        return 2
     return None
 
 
@@ -233,30 +233,35 @@ def _pool_rows(
                 yield n, table, outs, threats
 
 
-def _row_machine(
-    game: StageGame, player: PlayerId, table: tuple[int, ...], outs: tuple[int, ...]
-) -> Machine:
+def _row_machines(
+    game: StageGame, player: PlayerId, max_states: int
+) -> Callable[[tuple[int, ...], tuple[int, ...]], Machine]:
+    """A builder of the `Machine` of a pool row of up to `max_states` states.
+
+    The machines it builds share their state names and transition keys,
+    so a pool holds one copy of each rather than one per machine.
+    """
     own = game.actions(player)
     inputs = game.actions(opponent(player))
-    degree = len(inputs)
-    names = tuple(str(q) for q in range(len(outs)))
-    transition = {
-        (names[q], a): names[table[q * degree + k]]
-        for q in range(len(outs))
-        for k, a in enumerate(inputs)
-    }
-    output = {names[q]: own[o] for q, o in enumerate(outs)}
-    return Machine(player, names, "0", output, transition)
+    names = tuple(str(q) for q in range(max_states))
+    prefixes = [names[:n] for n in range(max_states + 1)]
+    keys = [(q, a) for q in names for a in inputs]
+
+    def build(table: tuple[int, ...], outs: tuple[int, ...]) -> Machine:
+        transition = {key: names[t] for key, t in zip(keys, table)}
+        output = {names[q]: own[o] for q, o in enumerate(outs)}
+        return Machine(player, prefixes[len(outs)], "0", output, transition)
+
+    return build
 
 
 @lru_cache(maxsize=None)
 def _machine_pool(
     game: StageGame, player: PlayerId, max_states: int, max_threat: int
 ) -> tuple[Machine, ...]:
-    return tuple(
-        _row_machine(game, player, table, outs)
-        for _, table, outs, _ in _pool_rows(game, player, max_states, max_threat)
-    )
+    build = _row_machines(game, player, max_states)
+    rows = _pool_rows(game, player, max_states, max_threat)
+    return tuple(build(table, outs) for _, table, outs, _ in rows)
 
 
 def enumerate_machines(
@@ -422,8 +427,9 @@ def _deviation_candidates(
         rows = _measured_pool(
             game, player, cap, bound.max_threat_states, measure, incumbent_value
         )
+        build = _row_machines(game, player, cap)
         for _, table, outs in rows:
-            yield _row_machine(game, player, table, outs)
+            yield build(table, outs)
     if measure is Measure.NORMAL_TRANSITIONS:
         lo = max(cap, 1)
         for L in range(lo, incumbent_value + 1):
@@ -432,10 +438,6 @@ def _deviation_candidates(
             for word in itertools.product(game.actions(player), repeat=L):
                 for punish in forcing_actions(game, player):
                     yield _chain_machine(word, punish, opp, game, player)
-
-
-def _oriented(i: PlayerId, m_i: Machine, m_j: Machine):
-    return (m_i, m_j) if i == 1 else (m_j, m_i)
 
 
 def _find_deviation(
@@ -451,11 +453,12 @@ def _find_deviation(
     to m_j (and, when require_nash, keeps the whole pair at Nash)."""
     target = best_response_value(m_j, game)
     for cand in _deviation_candidates(game, i, measure, incumbent_value, bound, m_j):
-        play = simulate(*_oriented(i, cand, m_j))
-        payoff = limit_mean_payoff(play, game)
-        if payoff.for_player(i) != target:
+        *totals, steps = cycle_totals(*_oriented(i, cand, m_j), game)
+        if not game.mean_equals(totals[i - 1], steps, target):
             continue
-        if require_nash and payoff.for_player(opponent(i)) != best_response_value(cand, game):
+        if require_nash and not game.mean_equals(
+            totals[2 - i], steps, best_response_value(cand, game)
+        ):
             continue
         return cand
     return None

@@ -29,7 +29,14 @@ class Machine:
     `output` maps each state to an own action; `transition` maps each
     (state, opponent action) pair to a state, totally.  Equality and
     hashing ignore the name.  Both maps are read-only views of private
-    copies, so the equality key built from them cannot go stale.
+    copies, so the equality key built from them, and the hash computed
+    once, cannot go stale.
+
+    The same machine is also kept as one integer table, built once:
+    states are indexed by their position in `states`, `_start` is the
+    initial state's index, `_outs[q]` is state q's output and
+    `_nxt[q * d + k]` the index of the state that q moves to on the k-th
+    of the d `input_actions`.
     """
 
     player: PlayerId
@@ -46,29 +53,35 @@ class Machine:
             raise ValueError(f"bad player {self.player!r}")
         if not self.states:
             raise ValueError("machine needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        index = {q: i for i, q in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise ValueError("duplicate state names")
-        if self.initial not in self.states:
+        if self.initial not in index:
             raise ValueError(f"initial state {self.initial!r} not declared")
-        if set(self.output) != set(self.states):
+        if len(self.output) != len(index) or not all(q in self.output for q in index):
             raise ValueError("output map must be total over the states")
-        inputs = sorted({a for (_, a) in self.transition})
-        expected = {(q, a) for q in self.states for a in inputs}
-        if set(self.transition) != expected or not inputs:
+        inputs = tuple(sorted({a for (_, a) in self.transition}))
+        try:
+            targets = tuple(self.transition[(q, a)] for q in self.states for a in inputs)
+        except KeyError:
+            targets = ()
+        if len(self.transition) != len(targets) or not inputs:
+            expected = {(q, a) for q in self.states for a in inputs}
             holes = sorted(expected - set(self.transition))
             raise ValueError(f"transition map not total; missing {holes[:3]}")
-        for (q, a), dst in self.transition.items():
-            if dst not in self.states:
-                raise ValueError(f"transition ({q},{a}) targets unknown state {dst!r}")
-        object.__setattr__(self, "input_actions", tuple(inputs))
-        key = (
-            self.player,
-            self.states,
-            self.initial,
-            tuple(self.output[q] for q in self.states),
-            tuple(self.transition[(q, a)] for q in self.states for a in inputs),
-        )
+        nxt = tuple(index.get(dst, -1) for dst in targets)
+        if -1 in nxt:
+            for (q, a), dst in self.transition.items():
+                if dst not in index:
+                    raise ValueError(f"transition ({q},{a}) targets unknown state {dst!r}")
+        outs = tuple(self.output[q] for q in self.states)
+        key = (self.player, self.states, self.initial, outs, targets)
+        object.__setattr__(self, "input_actions", inputs)
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_start", index[self.initial])
+        object.__setattr__(self, "_outs", outs)
+        object.__setattr__(self, "_nxt", nxt)
 
     def __reduce__(self):
         # a mappingproxy does not pickle; rebuild from plain dicts
@@ -82,7 +95,7 @@ class Machine:
         return isinstance(other, Machine) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"Machine({self.name!r}, player={self.player}, states={len(self.states)})"
@@ -148,6 +161,38 @@ class Play(PeriodicWord):
         return tuple(a for _, a in self.cycle)
 
 
+def _walk(m1: Machine, m2: Machine) -> tuple[list[int], int]:
+    """A machine pair's run on the integer tables, up to its first repeat.
+
+    Returns the state-pair codes `q1 * n2 + q2` of the distinct steps, in
+    order, and the step at which the cycle starts.  Each machine's outputs
+    are first translated to indices of the other's inputs, which is also
+    the alphabet check.
+    """
+    if m1.player != 1 or m2.player != 2:
+        raise ValueError("simulate expects (player-1 machine, player-2 machine)")
+    try:
+        reads1 = list(map(m1.input_actions.index, m2._outs))
+        reads2 = list(map(m2.input_actions.index, m1._outs))
+    except ValueError:
+        raise ValueError("alphabet mismatch: machines built for different action sets") from None
+    n2 = len(m2.states)
+    d1, d2 = len(m1.input_actions), len(m2.input_actions)
+    nxt1, nxt2 = m1._nxt, m2._nxt
+    # a set of the codes seen so far, not a table of all n1 * n2 codes:
+    # the walk is usually far shorter than that
+    seen: set[int] = set()
+    codes: list[int] = []
+    q1, q2 = m1._start, m2._start
+    code = q1 * n2 + q2
+    while code not in seen:
+        seen.add(code)
+        codes.append(code)
+        q1, q2 = nxt1[q1 * d1 + reads1[q2]], nxt2[q2 * d2 + reads2[q1]]
+        code = q1 * n2 + q2
+    return codes, codes.index(code)
+
+
 def simulate(m1: Machine, m2: Machine) -> Play:
     """Run a machine pair to its ultimately periodic play.
 
@@ -155,22 +200,33 @@ def simulate(m1: Machine, m2: Machine) -> Play:
     pair determines the whole future, that repetition point yields the
     minimal preperiod and a minimal cycle of pairwise-distinct state pairs.
     """
-    if m1.player != 1 or m2.player != 2:
-        raise ValueError("simulate expects (player-1 machine, player-2 machine)")
-    if not set(m2.output.values()) <= set(m1.input_actions) or not set(
-        m1.output.values()
-    ) <= set(m2.input_actions):
-        raise ValueError("alphabet mismatch: machines built for different action sets")
-    seen: dict[tuple[str, str], int] = {}
+    codes, start = _walk(m1, m2)
+    n2 = len(m2.states)
+    states1, states2, outs1, outs2 = m1.states, m2.states, m1._outs, m2._outs
     steps: list[Step] = []
-    q1, q2 = m1.initial, m2.initial
-    while (q1, q2) not in seen:
-        seen[(q1, q2)] = len(steps)
-        a1, a2 = m1.output[q1], m2.output[q2]
-        steps.append(((q1, q2), (a1, a2)))
-        q1, q2 = m1.transition[(q1, a2)], m2.transition[(q2, a1)]
-    start = seen[(q1, q2)]
+    for code in codes:
+        q1, q2 = divmod(code, n2)
+        steps.append(((states1[q1], states2[q2]), (outs1[q1], outs2[q2])))
     return Play(tuple(steps[:start]), tuple(steps[start:]))
+
+
+def cycle_totals(m1: Machine, m2: Machine, game: StageGame) -> tuple[int, int, int]:
+    """Both players' payoff totals over the pair's cycle, times `game.scale`,
+    and the cycle's length: the limit-of-means payoff without a `Fraction`.
+
+    This is the Nash screen's inner loop, so it sums the game's `scaled`
+    table directly rather than through `payoff_totals`' running totals.
+    """
+    codes, start = _walk(m1, m2)
+    n2 = len(m2.states)
+    outs1, outs2 = m1._outs, m2._outs
+    scaled = game.scaled
+    t1 = t2 = 0
+    for code in codes[start:]:
+        x1, x2 = scaled[outs1[code // n2], outs2[code % n2]]
+        t1 += x1
+        t2 += x2
+    return t1, t2, len(codes) - start
 
 
 def limit_mean_payoff(play: Play, game: StageGame) -> PayoffProfile:

@@ -1,9 +1,10 @@
 """Maximum cycle mean computed entirely in exact `Fraction`s.
 
 This is the plain form of Karp's algorithm and of the critical-subgraph
-witness search that `leanfa.cycles` runs on integer-scaled weights. The
-differential tests compare the two on random machines; only the witness's
-final lex-min cycle step is shared with the library.
+witness search that `leanfa.cycles` runs on integer-scaled weights, and of
+`is_sequence_forcing` with a separate Tarjan and Karp run per off-walk
+step. The differential tests compare them with the library on random
+machines; only the witness's final lex-min cycle step is shared with it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from leanfa import ActionSeq, Machine, StageGame, build_response_graph
 from leanfa.cycles import MachinePath, REdge, ResponseGraph, _lex_min_simple_cycle
 
 
@@ -158,3 +160,87 @@ def max_mean_cycle(graph: ResponseGraph) -> tuple[Fraction, MachinePath]:
 def max_cycle_mean(nodes: tuple[str, ...], edges: list[REdge]) -> Fraction:
     """The responder's maximum cycle mean, value only."""
     return critical_subgraph(nodes, edges, lambda e: e.w_resp)[0]
+
+
+def is_sequence_forcing(
+    machine: Machine, seq: ActionSeq, responder: int, game: StageGame
+) -> tuple[bool, str]:
+    """The library's `is_sequence_forcing`, with every cycle mean found by
+    a fresh Fraction Karp on the subgraph reachable from where it starts."""
+    if machine.player == responder:
+        raise ValueError("responder must be the machine owner's opponent")
+    if not seq.entries:
+        raise ValueError("empty action sequence")
+    graph = build_response_graph(machine, game)
+    value = max_mean_cycle(graph)[0]
+    k = len(seq)
+    own = machine.player - 1
+    resp = responder - 1
+
+    q = machine.initial
+    phase = 0
+    seen: dict[tuple[str, int], int] = {}
+    walk: list[tuple[str, int]] = []
+    while (q, phase) not in seen:
+        seen[(q, phase)] = len(walk)
+        walk.append((q, phase))
+        pair = seq.entries[phase]
+        if machine.output[q] != pair[own]:
+            return False, (
+                f"machine outputs {machine.output[q]} at step {len(walk)} where the "
+                f"sequence expects {pair[own]}"
+            )
+        q = machine.transition[(q, pair[resp])]
+        phase = (phase + 1) % k
+    cycle = walk[seen[(q, phase)] :]
+    cycle_mean = sum((game.u(responder, *seq.entries[ph]) for _, ph in cycle), Fraction(0))
+    cycle_mean /= len(cycle)
+    if cycle_mean != value:
+        return False, (
+            f"following the sequence pays the responder {cycle_mean}, but the "
+            f"best-response value is {value}"
+        )
+
+    walk_action: dict[str, str] = {}
+    for state, ph in walk:
+        a = seq.entries[ph][resp]
+        prior = walk_action.get(state)
+        if prior is not None and prior != a:
+            return False, (
+                f"state {state} is visited at two phases expecting different "
+                f"responder actions ({prior} and {a}); a best response could "
+                "switch phase there and leave the sequence"
+            )
+        walk_action[state] = a
+
+    walk_edges = {(state, seq.entries[ph][resp]) for state, ph in walk}
+    memo: dict[str, Fraction] = {}
+
+    def best_from(start: str) -> Fraction:
+        if start not in memo:
+            # best cycle mean within the part of the graph reachable from `start`
+            seen_states = [start]
+            seen_set = {start}
+            i = 0
+            while i < len(seen_states):
+                u = seen_states[i]
+                i += 1
+                for e in graph.adj[u]:
+                    if e.dst not in seen_set:
+                        seen_set.add(e.dst)
+                        seen_states.append(e.dst)
+            edges = [e for u in seen_states for e in graph.adj[u]]
+            memo[start] = max_cycle_mean(tuple(seen_states), edges)
+        return memo[start]
+
+    for q in graph.nodes:
+        for e in graph.adj[q]:
+            if (q, e.action) in walk_edges:
+                continue
+            attainable = best_from(e.dst)
+            if attainable >= value:
+                return False, (
+                    f"deviating with {e.action} at state {q} still allows cycle "
+                    f"mean {attainable}; a best response may leave the sequence"
+                )
+    return True, "every best response must replay the sequence from the first step"

@@ -297,6 +297,16 @@ def test_enumerate_jobs_deterministic_under_budget(monkeypatch):
     assert "summary: pairs=1237 nash=108 hits=108" in out1
 
 
+def test_enumerate_jobs_deterministic_on_a_3_state_census_prefix(monkeypatch):
+    # workers receive the pools once and check (i, j) index chunks
+    monkeypatch.setenv("LEANFA_BUDGET", "3000")
+    code1, out1 = run("enumerate", "pd", "--states", "3", "--find", "nash", "--jobs", "1")
+    code2, out2 = run("enumerate", "pd", "--states", "3", "--find", "nash", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "summary: pairs=3000 nash=177 hits=177" in out1
+
+
 def test_enumerate_jobs_deterministic_on_a_random_game(tmp_path, monkeypatch):
     path = tmp_path / "random.game"
     path.write_text(game_to_text(random_game(random.Random(23), 2, 3)))

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_game, random_machine
 from leanfa import Measure, PayoffProfile, StageGame, is_best_response, is_nash, measure_value
-from leanfa.equilibrium import _machine_pool, _measured_pool, _row_machine, nash_deviator
+from leanfa.equilibrium import _machine_pool, _measured_pool, _row_machines, nash_deviator
 
 
 def reference_measured_pool(game, player, max_states, max_threat, measure):
@@ -68,9 +68,10 @@ def test_measured_pool_matches_machine_scoring(game, player, top):
                     game, player, max_states, max_threat, measure
                 )
                 largest = reference[-1][0] if reference else 0
+                build = _row_machines(game, player, max_states)
                 for below in range(largest + 2):
                     rows = _measured_pool(game, player, max_states, max_threat, measure, below)
-                    fast = [(v, _row_machine(game, player, t, o)) for v, t, o in rows]
+                    fast = [(v, build(t, o)) for v, t, o in rows]
                     assert fast == [(v, m) for v, m in reference if v < below], (
                         measure,
                         max_states,

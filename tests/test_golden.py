@@ -3,6 +3,8 @@
 The expected output lives in `tests/data/golden/stdout.txt`, one block per
 command: a `$ leanfa ...` header, the command's stdout, then `[exit N]`.
 Arguments that name a file in `tests/data/golden/` are read from there.
+Leading `NAME=value` words set environment variables for that command only
+and head the block as `$ NAME=value leanfa ...`.
 
 Regenerate the file only for a deliberate output change:
 
@@ -11,8 +13,10 @@ Regenerate the file only for a deliberate output change:
 
 import io
 import itertools
+import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 from leanfa.cli import main
 
@@ -60,20 +64,33 @@ SEQ = [
      "--rigid", "1:a1", "--foolable", "2", "--irreducible", "1"],
 ]
 
-CASES = ENUMERATE + CHECK + SIMULATE + SEQ
+# the Nash screen on a 3-state census prefix, and on a non-integer 2x3 game
+# whose declared action orders are not the sorted ones
+CENSUS = [
+    ["LEANFA_BUDGET=3000", "enumerate", "pd", "--states", "3", "--find", "nash"],
+    ["enumerate", "unsorted.game", "--states", "2", "--find", "nash"],
+    ["enumerate", "unsorted.game", "--states", "2", "--find", "lean", "--measure", "R"],
+]
+
+CASES = ENUMERATE + CHECK + SIMULATE + SEQ + CENSUS
 
 
-def _run(argv: list[str]) -> str:
+def _run(words: list[str]) -> str:
+    split = next(k for k, w in enumerate(words) if "=" not in w)
+    env = dict(w.split("=", 1) for w in words[:split])
+    argv = words[split:]
     resolved = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
     buf = io.StringIO()
-    code = main(resolved, out=buf)
-    return f"$ leanfa {shlex.join(argv)}\n{buf.getvalue()}[exit {code}]\n"
+    with mock.patch.dict(os.environ, env):
+        code = main(resolved, out=buf)
+    prefix = "".join(f"{w} " for w in words[:split])
+    return f"$ {prefix}leanfa {shlex.join(argv)}\n{buf.getvalue()}[exit {code}]\n"
 
 
 def _blocks(text: str) -> list[str]:
     blocks: list[list[str]] = []
     for line in text.splitlines(keepends=True):
-        if line.startswith("$ leanfa "):
+        if line.startswith("$ "):
             blocks.append([])
         blocks[-1].append(line)
     return ["".join(b) for b in blocks]

@@ -1,12 +1,19 @@
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leanfa import (
+    PRISONERS_DILEMMA,
     Machine,
+    Measure,
+    SearchBound,
+    enumerate_machines,
+    is_abreu_rubinstein,
+    is_lean,
     ParseError,
     PayoffProfile,
     Relation,
@@ -382,6 +389,46 @@ def test_renaming_states_leaves_play_and_verdicts_unchanged(case, opp_states, sh
         assert [a for _, a in word(play)] == [a for _, a in word(play_renamed)]
     assert limit_mean_payoff(play, game) == limit_mean_payoff(play_renamed, game)
     assert nash_deviator(*pair(m), game) == nash_deviator(*pair(renamed), game)
+
+
+@lru_cache(maxsize=None)
+def _pd_nash_pairs():
+    bound = SearchBound(2, 2)
+    pool1, pool2 = (tuple(enumerate_machines(p, PRISONERS_DILEMMA, bound)) for p in (1, 2))
+    return [
+        (m1, m2)
+        for m1 in pool1
+        for m2 in pool2
+        if nash_deviator(m1, m2, PRISONERS_DILEMMA) is None
+    ]
+
+
+# (seed, whether the pair is a 2-state PD Nash pair or a random pair on a
+# random 2x2 game); the searches stop at 3 states and 1 threat state
+verdict_cases = st.tuples(st.integers(0, 2**32), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(verdict_cases, st.randoms(use_true_random=False))
+def test_renaming_states_leaves_refinement_verdicts_unchanged(case, shuffler):
+    seed, on_pd = case
+    rng = random.Random(seed)
+    if on_pd:
+        game = PRISONERS_DILEMMA
+        m1, m2 = rng.choice(_pd_nash_pairs())
+    else:
+        game = random_game(rng)
+        m1, m2 = (random_machine(rng, p, game, rng.randint(1, 3)) for p in (1, 2))
+    renamed = _renamed(m1, shuffler), _renamed(m2, shuffler)
+    bound = SearchBound(3, 1)
+    for check in (is_abreu_rubinstein, is_lean):
+        for measure in Measure:
+            verdict = check(m1, m2, game, measure, bound)
+            again = check(*renamed, game, measure, bound)
+            assert (again.result, again.witness_player) == (
+                verdict.result,
+                verdict.witness_player,
+            )
 
 
 def test_machine_maps_are_frozen_and_pickle():
