@@ -19,7 +19,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, 
 
 from .games import PlayerId, StageGame, opponent
 from .machines import Machine, reachable_states, validate_machine
-from .sequences import ActionSeq
+from .sequences import ActionSeq, validate_sequence
 
 
 class REdge(NamedTuple):
@@ -134,7 +134,8 @@ Arc = tuple[int, Node, Node, int]  # (index into the edge list, src, dst, intege
 
 def _scc_list(nodes: Sequence[Node], succ: Mapping[Node, Sequence[Node]]) -> list[list[Node]]:
     """Tarjan's strongly connected components of the nodes reachable from
-    `nodes`, iterative, deterministic order.
+    `nodes`, iterative, deterministic order.  `succ[v]` lists v's
+    successors; for integer nodes it may be a list.
 
     A component comes out only after every component it reaches, so the
     list runs sinks first.
@@ -391,11 +392,8 @@ def _best_reachable(
     inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
     d = len(inputs)
     slot = 2 - machine.player  # the responder's entry in a payoff pair
-    weight = [
-        [game.scaled[(o, a) if machine.player == 1 else (a, o)][slot] for a in inputs]
-        for o in outs
-    ]
-    succ = {q: nxt[q * d : (q + 1) * d] for q in range(len(outs))}
+    scaled = game.scaled
+    succ = [nxt[q * d : (q + 1) * d] for q in range(len(outs))]
     comps = _scc_list(roots, succ)
     comp_of = [-1] * len(outs)
     for c, comp in enumerate(comps):
@@ -406,9 +404,11 @@ def _best_reachable(
         arcs: list[Arc] = []
         means = []
         for q in comp:
+            o = outs[q]
             for k, dst in enumerate(succ[q]):
                 if comp_of[dst] == c:
-                    arcs.append((q * d + k, q, dst, weight[q][k]))
+                    pair = (o, inputs[k]) if machine.player == 1 else (inputs[k], o)
+                    arcs.append((q * d + k, q, dst, scaled[pair][slot]))
                 else:
                     means.append(best[comp_of[dst]])
         if arcs:
@@ -499,67 +499,81 @@ def is_sequence_forcing(
     pin every non-deviating best response to the sequence itself.  The
     off-walk steps' cycle means come from one pass over the components of
     the response graph that those steps reach.
+
+    The test runs on the machine's integer table: the walk visits codes
+    `state index * k + phase`, the cycle is summed on the game's scaled
+    payoffs, and names and `Fraction`s are built only for a failure note.
     """
     if machine.player == responder:
         raise ValueError("responder must be the machine owner's opponent")
     if not seq.entries:
         raise ValueError("empty action sequence")
+    validate_sequence(seq, game)
     value = best_response_value(machine, game)
     k = len(seq)
     own = machine.player - 1
     resp = responder - 1
+    inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
+    d = len(inputs)
+    expect = [pair[own] for pair in seq.entries]  # the machine's output at each phase
+    reads = [inputs.index(pair[resp]) for pair in seq.entries]  # its input slot
 
-    q = machine.initial
-    phase = 0
-    seen: dict[tuple[str, int], int] = {}
-    walk: list[tuple[str, int]] = []
-    while (q, phase) not in seen:
-        seen[(q, phase)] = len(walk)
-        walk.append((q, phase))
-        pair = seq.entries[phase]
-        if machine.output[q] != pair[own]:
+    q, phase = machine._start, 0
+    seen: dict[int, int] = {}  # walk code -> step, in walk order
+    code = q * k
+    while code not in seen:
+        seen[code] = len(seen)
+        if outs[q] != expect[phase]:
             return False, (
-                f"machine outputs {machine.output[q]} at step {len(walk)} where the "
-                f"sequence expects {pair[own]}"
+                f"machine outputs {outs[q]} at step {len(seen)} where the "
+                f"sequence expects {expect[phase]}"
             )
-        q = machine.transition[(q, pair[resp])]
+        q = nxt[q * d + reads[phase]]
         phase = (phase + 1) % k
-    cycle = walk[seen[(q, phase)] :]
-    cycle_mean = game.mean_payoff(seq.entries[ph] for _, ph in cycle).for_player(responder)
-    if cycle_mean != value:
+        code = q * k + phase
+    walk = list(seen)
+    cycle = walk[seen[code] :]
+    total = sum(game.scaled[seq.entries[c % k]][resp] for c in cycle)
+    if not game.mean_equals(total, len(cycle), value):
         return False, (
-            f"following the sequence pays the responder {cycle_mean}, but the "
+            f"following the sequence pays the responder "
+            f"{Fraction(total, len(cycle) * game.scale)}, but the "
             f"best-response value is {value}"
         )
 
-    walk_action: dict[str, str] = {}
-    for state, ph in walk:
-        a = seq.entries[ph][resp]
-        prior = walk_action.get(state)
-        if prior is not None and prior != a:
+    taken = [-1] * len(outs)  # the input slot the walk takes from each state
+    for code in walk:
+        q, ph = divmod(code, k)
+        prior, slot = taken[q], reads[ph]
+        if prior >= 0 and prior != slot:
             return False, (
-                f"state {state} is visited at two phases expecting different "
-                f"responder actions ({prior} and {a}); a best response could "
-                "switch phase there and leave the sequence"
+                f"state {machine.states[q]} is visited at two phases expecting different "
+                f"responder actions ({inputs[prior]} and {inputs[slot]}); a best response "
+                "could switch phase there and leave the sequence"
             )
-        walk_action[state] = a
+        taken[q] = slot
 
-    walk_edges = {(state, seq.entries[ph][resp]) for state, ph in walk}
-    actions = game.actions(responder)
-    index = {q: i for i, q in enumerate(machine.states)}
+    # the states reachable from the start, in first-visit order with the
+    # responder's actions in the game's order, and their off-walk steps
+    slots = [inputs.index(a) for a in game.actions(responder)]
+    order = [machine._start]
+    reached = {machine._start}
+    for q in order:
+        for slot in slots:
+            dst = nxt[q * d + slot]
+            if dst not in reached:
+                reached.add(dst)
+                order.append(dst)
     off_walk = [
-        (q, a, index[machine.transition[(q, a)]])
-        for q in reachable_states(machine, actions)
-        for a in actions
-        if (q, a) not in walk_edges
+        (q, slot, nxt[q * d + slot]) for q in order for slot in slots if slot != taken[q]
     ]
     best = _best_reachable(machine, game, [dst for _, _, dst in off_walk])
-    for q, a, dst in off_walk:
+    for q, slot, dst in off_walk:
         num, den = best[dst]
         if num * value.denominator >= value.numerator * den * game.scale:
             return False, (
-                f"deviating with {a} at state {q} still allows cycle "
-                f"mean {Fraction(num, den * game.scale)}; a best response may leave "
+                f"deviating with {inputs[slot]} at state {machine.states[q]} still allows "
+                f"cycle mean {Fraction(num, den * game.scale)}; a best response may leave "
                 "the sequence"
             )
     return True, "every best response must replay the sequence from the first step"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .cycles import best_response_value, construct_best_response, is_sequence_forcing
@@ -29,7 +29,7 @@ from .games import PlayerId, StageGame, forcing_actions, is_strictly_enforceable
 from .machines import Machine, classify_states, cycle_totals, simulate
 from .sequences import (
     ActionSeq,
-    incompatible,
+    incompatibility,
     is_foolable,
     is_rigid,
     seq_payoff,
@@ -466,33 +466,42 @@ def _find_deviation(
 
 # --- certificates ---------------------------------------------------------------
 
-def _max_clique(members: list[int], compatible) -> int:
+def _max_clique(members: Sequence[int], relation: list[int]) -> int:
+    """Size of the largest clique among `members`, where v and u are
+    adjacent when bit u of `relation[v]` is set."""
     best = 0
 
-    def grow(clique: list[int], rest: list[int]):
+    def grow(clique: int, size: int, rest: Sequence[int]):
         nonlocal best
-        if len(clique) > best:
-            best = len(clique)
+        if size > best:
+            best = size
         for idx, v in enumerate(rest):
-            if len(clique) + len(rest) - idx <= best:
+            if size + len(rest) - idx <= best:
                 break
-            if all(compatible(v, u) for u in clique):
-                grow(clique + [v], rest[idx + 1 :])
+            if relation[v] & clique == clique:
+                grow(clique | 1 << v, size + 1, rest[idx + 1 :])
 
-    grow([], members)
+    grow(0, 0, members)
     return best
 
 
-def _incompatible_clique(seq: ActionSeq, player: PlayerId, positions: list[int]) -> int:
-    """Largest set of pairwise player-incompatible suffix classes among positions.
+class _PlayedSequence:
+    """A pair's played cycle as a sequence, with the facts that both sides'
+    certificates share.  Each fact is computed when a side first needs it,
+    at most once per verdict."""
 
-    Pairwise incompatible class representatives force pairwise distinct
-    played states, so the clique size lower-bounds the player's played-state
-    count in any pair replaying the sequence.
-    """
-    classes = [cls for cls in suffix_classes(seq) if cls[0] in positions]
-    reps = [cls[0] for cls in classes]
-    return _max_clique(reps, lambda a, b: incompatible(seq, a, b, player))
+    def __init__(self, seq: ActionSeq, game: StageGame):
+        self.seq = seq
+        self.game = game
+
+    @cached_property
+    def enforceable(self) -> bool:
+        return is_strictly_enforceable(self.game, seq_payoff(self.seq, self.game))
+
+    @cached_property
+    def representatives(self) -> list[int]:
+        """The first position of each suffix class."""
+        return [cls[0] for cls in suffix_classes(self.seq)]
 
 
 def _nonempty_subsets(actions: tuple[str, ...]) -> Iterator[frozenset[str]]:
@@ -510,7 +519,7 @@ def _side_certificate(
     m_j: Machine,
     measure: Measure,
     incumbent_value: int,
-    seq: ActionSeq | None,
+    played: _PlayedSequence | None,
     kind: str,
     certify: str,
 ) -> Certificate | None:
@@ -522,19 +531,23 @@ def _side_certificate(
     states from below (irreducibility cliques), refute Nash for machines
     playing few states with given outputs (rigidity), or refute Nash when
     all states are played (foolability).
+
+    Pairwise incompatible suffix classes force pairwise distinct played
+    states, so a clique of player-i incompatible class representatives
+    lower-bounds the played-state count of any pair replaying the sequence.
+    The side builds one incompatibility relation over the representatives
+    and reads every clique from it.
     """
-    if certify == "none" or seq is None:
+    if certify == "none" or played is None or not played.enforceable:
         return None
-    M = incumbent_value
-    profile = seq_payoff(seq, game)
-    if not is_strictly_enforceable(game, profile):
-        return None
+    seq = played.seq
     forcing, _ = is_sequence_forcing(m_j, seq, i, game)
     if not forcing:
         return None
-    k = len(seq)
-    all_positions = list(range(1, k + 1))
-    clique_all = _incompatible_clique(seq, i, all_positions)
+    M = incumbent_value
+    reps = played.representatives
+    relation = incompatibility(seq, reps, i)
+    clique_all = _max_clique(range(len(reps)), relation)
 
     def rigid_below(played_cap: int) -> Certificate | None:
         # any best response with at most played_cap played states has too few
@@ -546,8 +559,8 @@ def _side_certificate(
             verdict = is_rigid(seq, i, subset, game)
             if not verdict.rigid:
                 continue
-            outside = [n for n in all_positions if seq.entries[n - 1][i - 1] not in subset]
-            clique_out = _incompatible_clique(seq, i, outside) if outside else 0
+            outside = [v for v, t in enumerate(reps) if seq.entries[t - 1][i - 1] not in subset]
+            clique_out = _max_clique(outside, relation)
             if played_cap - clique_out < b:
                 label = ",".join(sorted(subset))
                 return Certificate(
@@ -589,12 +602,12 @@ def _side_certificate(
     return None
 
 
-def _pair_sequence(m1: Machine, m2: Machine) -> ActionSeq | None:
+def _pair_sequence(m1: Machine, m2: Machine, game: StageGame) -> _PlayedSequence | None:
     """The pair's played cycle as a sequence, when the play is purely cyclic."""
     play = simulate(m1, m2)
     if play.preperiod:
         return None
-    return ActionSeq(play.cycle_actions)
+    return _PlayedSequence(ActionSeq(play.cycle_actions), game)
 
 
 def _refinement_verdict(
@@ -619,7 +632,7 @@ def _refinement_verdict(
             bound=bound,
             sides=(f"pair is not a Nash equilibrium (player {nash.witness_player} deviates)",),
         )
-    seq = _pair_sequence(m1, m2)
+    played = _pair_sequence(m1, m2, game)
     sides: list[str] = []
     certificates: list[Certificate] = []
     used_bounds: list[SearchBound] = []
@@ -632,7 +645,7 @@ def _refinement_verdict(
             continue
         side_bound = bound if bound is not None else default_bound(m_i, game, measure)
         used_bounds.append(side_bound)
-        cert = _side_certificate(game, i, m_j, measure, M, seq, kind, certify)
+        cert = _side_certificate(game, i, m_j, measure, M, played, kind, certify)
         if cert is not None:
             certificates.append(cert)
             sides.append(f"player {i}: certificate {cert}")
@@ -728,14 +741,14 @@ def simplify_to_lean(
     changed = True
     while changed:
         changed = False
+        played = _pair_sequence(current[0], current[1], game)
         for i in (1, 2):
             m_i = current[i - 1]
             m_j = current[2 - i]
             M = measure_value(m_i, game, measure)
             if M == 0:
                 continue
-            seq = _pair_sequence(current[0], current[1])
-            cert = _side_certificate(game, i, m_j, measure, M, seq, "lean", "auto")
+            cert = _side_certificate(game, i, m_j, measure, M, played, "lean", "auto")
             if cert is not None:
                 continue
             side_bound = bound if bound is not None else default_bound(m_i, game, measure)

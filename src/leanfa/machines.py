@@ -121,7 +121,8 @@ class PeriodicWord:
     Subclasses supply the two tuples.  Position t (1-based) reads from the
     preperiod while t <= |preperiod|, then cyclically from the cycle.
     `action_at` reads the action pair at a position; a word of action pairs
-    is its own action word.
+    is its own action word.  `unrolled(n)` lists the action pairs at
+    positions 1..n, so a scan can slice windows out of one list.
     """
 
     preperiod: tuple
@@ -141,6 +142,9 @@ class PeriodicWord:
 
     def action_at(self, t: int) -> tuple[str, str]:
         return self.at(t)
+
+    def unrolled(self, n: int) -> list[tuple[str, str]]:
+        return [self.action_at(t) for t in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -353,12 +357,12 @@ def suffix_partition(word: PeriodicWord) -> tuple[tuple[int, ...], ...]:
 
     Comparing windows of length H = |preperiod| + |cycle| suffices: past the
     preperiod both suffixes are periodic, and agreement over a full period
-    there implies agreement forever.
+    there implies agreement forever.  The windows are slices of one word
+    unrolled to position 2H - 1.
     """
     horizon = word.horizon
-    keys = {
-        t: tuple(word.action_at(t + n) for n in range(horizon)) for t in range(1, horizon + 1)
-    }
+    unrolled = word.unrolled(2 * horizon - 1)
+    keys = {t: tuple(unrolled[t - 1 : t - 1 + horizon]) for t in range(1, horizon + 1)}
     return _group_by_key(keys)
 
 

@@ -8,9 +8,10 @@ must play, or refute equilibrium for machines that are too small.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .games import (
     ParseError,
@@ -44,6 +45,9 @@ class ActionSeq(PeriodicWord):
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def unrolled(self, n: int) -> list[tuple[str, str]]:
+        return list(itertools.islice(itertools.cycle(self.entries), n))
 
     def rotation(self, offset: int) -> "ActionSeq":
         """The rotation starting at 1-based position `offset`."""
@@ -195,15 +199,31 @@ def incompatible(source: PeriodicWord, t1: int, t2: int, player: PlayerId) -> bo
     """
     if t1 < 1 or t2 < 1:
         raise ValueError("time points are 1-based")
-    own = player - 1
-    other = opponent(player) - 1
-    for n in range(source.horizon):
-        a, b = source.action_at(t1 + n), source.action_at(t2 + n)
-        if a[own] != b[own]:
-            return True
-        if a[other] != b[other]:
-            return False
-    return False
+    return incompatibility(source, (t1, t2), player)[0] != 0
+
+
+def incompatibility(source: PeriodicWord, times: Sequence[int], player: PlayerId) -> list[int]:
+    """The `incompatible` relation among `times`, one bitmask per time:
+    bit b of entry a is set when times[a] and times[b] are incompatible.
+
+    Each pair's windows are slices of one word, unrolled far enough for
+    all of them, and are scanned up to their first differing action pair:
+    the pair is incompatible when the own actions differ there.
+    """
+    own = 2 - opponent(player)  # the player's entry in an action pair
+    horizon = source.horizon
+    word = source.unrolled(max(times, default=0) + horizon - 1)
+    windows = [word[t - 1 : t - 1 + horizon] for t in times]
+    masks = [0] * len(times)
+    for a, window in enumerate(windows):
+        for b in range(a):
+            for x, y in zip(window, windows[b]):
+                if x != y:
+                    if x[own] != y[own]:
+                        masks[a] |= 1 << b
+                        masks[b] |= 1 << a
+                    break
+    return masks
 
 
 def suffix_classes(seq: ActionSeq) -> tuple[tuple[int, ...], ...]:
@@ -221,12 +241,9 @@ def is_irreducible(seq: ActionSeq, player: PlayerId) -> bool:
     classes = suffix_classes(seq)
     if len(classes) < len(seq):
         return False
-    reps = [cls[0] for cls in classes]
-    return all(
-        incompatible(seq, reps[i], reps[j], player)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-    )
+    masks = incompatibility(seq, [cls[0] for cls in classes], player)
+    full = (1 << len(masks)) - 1
+    return all(mask | 1 << a == full for a, mask in enumerate(masks))
 
 
 class RigidityVerdict(NamedTuple):

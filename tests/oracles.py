@@ -93,10 +93,12 @@ def enumerate_simple_cycles(
         base = order[v0]
         path_states = [v0]
         path_actions: list[str] = []
-
-        def walk(u: str):
-            nonlocal emitted
-            for e in graph.adj[u]:
+        # a depth-first walk over paths from v0 through higher-ordered
+        # nodes, one edge iterator per path state, so deep paths need no
+        # recursion
+        stack = [iter(graph.adj[v0])]
+        while stack:
+            for e in stack[-1]:
                 if e.dst == v0:
                     emitted += 1
                     if emitted > budget:
@@ -112,11 +114,13 @@ def enumerate_simple_cycles(
                 elif order[e.dst] > base and e.dst not in path_states:
                     path_states.append(e.dst)
                     path_actions.append(e.action)
-                    yield from walk(e.dst)
+                    stack.append(iter(graph.adj[e.dst]))
+                    break
+            else:
+                stack.pop()
+                if stack:  # the exhausted state was the end of the path
                     path_states.pop()
                     path_actions.pop()
-
-        yield from walk(v0)
 
 
 def ar_implies_lean(

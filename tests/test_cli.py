@@ -254,6 +254,20 @@ def test_python_m_entry_point():
     assert proc.stdout.splitlines()[-1] == "summary: pairs=4 nash=1 hits=1"
 
 
+def test_python_m_package_runs_the_cli():
+    src = Path(leanfa.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("LEANFA_BUDGET", None)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "enumerate", "pd", "--states", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for module in ("leanfa", "leanfa.cli")
+    ]
+    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+
+
 def test_enumerate_audit_structure():
     code, out = run(
         "enumerate",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leanfa import (
+    ActionSeq,
     Machine,
     MachinePath,
     best_response_value,
@@ -254,6 +255,14 @@ def test_sequence_forcing_holds_for_random_trigger_machines(pd):
         assert is_sequence_forcing(m1, seq, 2, pd)[0]
 
 
+@pytest.mark.parametrize("entry, player", [(("X", "C"), 1), (("C", "X"), 2)])
+def test_sequence_forcing_rejects_actions_outside_the_game(pd, trigger_pair, entry, player):
+    # either component outside the game is a ValueError naming it, not a
+    # KeyError from the transition map or a (False, note) from the output check
+    with pytest.raises(ValueError, match=f"action 'X' not in player {player}'s actions"):
+        is_sequence_forcing(trigger_pair[1], ActionSeq((entry,)), 1, pd)
+
+
 def test_sequence_forcing_rejects_always_cooperate(pd, always):
     seq = parse_sequence("1*(C,C)", pd)
     ok, note = is_sequence_forcing(always(2, "C"), seq, 1, pd)
@@ -320,3 +329,13 @@ def test_best_response_value_on_a_ring_deeper_than_the_recursion_limit(pd):
     transition = {(q, a): states[(i + 1) % n] for i, q in enumerate(states) for a in pd.actions1}
     ring = Machine(2, states, "r0", {q: "C" for q in states}, transition)
     assert best_response_value(ring, pd) == 3
+
+
+def test_simple_cycles_on_a_ring_deeper_than_the_recursion_limit(pd):
+    n = 1500
+    states = tuple(f"r{i}" for i in range(n))
+    transition = {(q, a): states[(i + 1) % n] for i, q in enumerate(states) for a in pd.actions1}
+    ring = Machine(2, states, "r0", {q: "C" for q in states}, transition)
+    first = next(enumerate_simple_cycles(build_response_graph(ring, pd), budget=10))
+    assert first.states == states + ("r0",)
+    assert first.actions == ("C",) * n

@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from leanfa import (
+    ActionSeq,
     Machine,
     Measure,
     SearchBound,
@@ -16,6 +18,7 @@ from leanfa import (
     is_best_response,
     is_lean,
     is_nash,
+    is_strictly_enforceable_seq,
     limit_mean_payoff,
     measure_value,
     parse_sequence,
@@ -335,3 +338,36 @@ def test_verdict_exit_codes(pd, grim1, grim2):
     pair = (tit_for_tat(1), tit_for_tat(2))
     small = is_lean(*pair, pd, Measure.NORMAL_TRANSITIONS, SearchBound(1, 1), certify="none")
     assert small.exit_code() == 2
+
+
+PD_PAIRS = [(a, b) for a in "CD" for b in "CD"]
+
+
+def _swap_agrees(pd, entries, ops):
+    """The trigger pairs of a sequence and of its player-swapped copy get the
+    same result, each certificate moved to the other player."""
+    seq = ActionSeq(tuple(entries))
+    assume(is_strictly_enforceable_seq(seq, pd))
+    pair = build_trigger_machines(seq, pd)
+    swapped = build_trigger_machines(ActionSeq(tuple((b, a) for a, b in entries)), pd)
+    for check, measure in ops:
+        verdict = check(*pair, pd, measure)
+        mirror = check(*swapped, pd, measure)
+        assert mirror.result == verdict.result
+        assert sorted((c.name, 3 - c.player, c.detail) for c in verdict.certificates) == sorted(
+            (c.name, c.player, c.detail) for c in mirror.certificates
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(PD_PAIRS), min_size=2, max_size=4))
+def test_swapping_players_mirrors_r_and_delta_verdicts(pd, entries):
+    ops = [(check, measure) for check in (is_lean, is_abreu_rubinstein)
+           for measure in (Measure.NORMAL_STATES, Measure.NORMAL_TRANSITIONS)]
+    _swap_agrees(pd, entries, ops)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(PD_PAIRS), min_size=2, max_size=3))
+def test_swapping_players_mirrors_q_lean_verdicts(pd, entries):
+    _swap_agrees(pd, entries, [(is_lean, Measure.TOTAL_STATES)])
