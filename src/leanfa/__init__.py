@@ -48,9 +48,7 @@ from .sequences import (
 )
 from .cycles import (
     MachinePath,
-    ResponseGraph,
     best_response_value,
-    build_response_graph,
     construct_best_response,
     is_sequence_forcing,
     max_mean_cycle,

@@ -10,67 +10,14 @@ into the maximizing cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .games import PlayerId, StageGame, opponent
-from .machines import Machine, reachable_states, validate_machine
+from .machines import Machine, validate_machine
 from .sequences import ActionSeq, validate_sequence
-
-
-class REdge(NamedTuple):
-    """One responder choice: from machine state `src`, playing `action`."""
-
-    src: str
-    action: str
-    dst: str
-    w_resp: Fraction
-    w_other: Fraction
-
-
-@dataclass(frozen=True, eq=False)
-class ResponseGraph:
-    """The responder's decision graph over an opponent machine.
-
-    Every node has out-degree equal to the responder's action count; edge
-    weights are exact payoffs from the stage-game table, one per player.
-    """
-
-    machine: Machine
-    game: StageGame
-    responder: PlayerId
-    nodes: tuple[str, ...]
-    adj: dict[str, tuple[REdge, ...]]
-
-    @property
-    def initial(self) -> str:
-        return self.machine.initial
-
-    def edges(self) -> list[REdge]:
-        return [e for q in self.nodes for e in self.adj[q]]
-
-
-def build_response_graph(machine: Machine, game: StageGame) -> ResponseGraph:
-    validate_machine(machine, game)
-    responder = opponent(machine.player)
-    actions = game.actions(responder)
-    nodes = reachable_states(machine, actions)
-    adj: dict[str, tuple[REdge, ...]] = {}
-    for q in nodes:
-        out = machine.output[q]
-        edges = []
-        for a in actions:
-            pair = (out, a) if machine.player == 1 else (a, out)
-            edges.append(
-                REdge(q, a, machine.transition[(q, a)], game.u(responder, *pair),
-                      game.u(machine.player, *pair))
-            )
-        adj[q] = tuple(edges)
-    return ResponseGraph(machine, game, responder, nodes, adj)
 
 
 @dataclass(frozen=True)
@@ -84,8 +31,10 @@ class MachinePath:
     def __post_init__(self):
         if len(self.states) != len(self.actions) + 1 or not self.states:
             raise ValueError("path needs one more state than actions")
+        if self.states[0] not in self.machine.output:
+            raise ValueError(f"path starts at {self.states[0]}, not a state of the machine")
         for k, a in enumerate(self.actions):
-            if self.machine.transition[(self.states[k], a)] != self.states[k + 1]:
+            if self.machine.transition.get((self.states[k], a)) != self.states[k + 1]:
                 raise ValueError(
                     f"step {k + 1} is not a transition: "
                     f"({self.states[k]},{a}) does not lead to {self.states[k + 1]}"
@@ -123,37 +72,40 @@ def path_payoff(path: MachinePath, game: StageGame, for_player: PlayerId) -> Fra
 
 # --- exact maximum cycle mean -------------------------------------------------
 #
-# Karp runs on integer weights: every payoff is multiplied by the LCM of the
-# denominators on the graph, so the walk table and the potentials hold Python
-# ints, and a mean comes out as a pair (num, den) of ints.  Only the final
-# value becomes a Fraction, num / (den * scale), so results stay exact.
+# The responder's graph runs on the machine's integer table: node q is a
+# state index, and the arc with code `q * d + k` is the responder's k-th
+# input action, leading to `_nxt[q * d + k]` and weighted by the game's
+# `scaled` payoffs.  So Karp's walk table and the potentials hold Python
+# ints, a mean comes out as a pair (num, den) of ints standing for
+# num / (den * game.scale), and only a reported value becomes a Fraction.
 
-Node = Hashable  # a state name, or a state index on a machine's integer table
-Arc = tuple[int, Node, Node, int]  # (index into the edge list, src, dst, integer weight)
+Arc = tuple[int, int, int, int]  # (code q * d + k, src, dst, integer weight)
 
 
-def _scc_list(nodes: Sequence[Node], succ: Mapping[Node, Sequence[Node]]) -> list[list[Node]]:
+def _scc_list(
+    roots: Iterable[int], succ: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
+) -> list[list[int]]:
     """Tarjan's strongly connected components of the nodes reachable from
-    `nodes`, iterative, deterministic order.  `succ[v]` lists v's
-    successors; for integer nodes it may be a list.
+    `roots`, iterative, deterministic order.  `succ[v]` lists v's
+    successors, in a list indexed by state or a dict.
 
     A component comes out only after every component it reaches, so the
     list runs sinks first.
     """
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    stack: list[Node] = []
-    on_stack: set[Node] = set()
-    comps: list[list[Node]] = []
-    work: list[tuple[Node, Iterator[Node]]] = []  # the call stack of recursive Tarjan
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    comps: list[list[int]] = []
+    work: list[tuple[int, Iterator[int]]] = []  # the call stack of recursive Tarjan
 
-    def visit(v: Node) -> None:
+    def visit(v: int) -> None:
         index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
         work.append((v, iter(succ[v])))
 
-    for root in nodes:
+    for root in roots:
         if root in index:
             continue
         visit(root)
@@ -182,7 +134,7 @@ def _scc_list(nodes: Sequence[Node], succ: Mapping[Node, Sequence[Node]]) -> lis
     return comps
 
 
-def _karp(comp: list[Node], arcs: list[Arc]) -> tuple[int, int]:
+def _karp(comp: list[int], arcs: list[Arc]) -> tuple[int, int]:
     """Karp's maximum cycle mean of one strongly connected component, as (num, den).
 
     D[k][v] is the best total weight of a k-edge walk from comp[0]; the
@@ -191,12 +143,12 @@ def _karp(comp: list[Node], arcs: list[Arc]) -> tuple[int, int]:
     costs O(n) rather than O(n * edges).
     """
     n = len(comp)
-    succ: dict[Node, list[tuple[Node, int]]] = {v: [] for v in comp}
+    succ: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
     for _, src, dst, w in arcs:
         succ[src].append((dst, w))
-    rows: list[dict[Node, int]] = [{comp[0]: 0}]
+    rows: list[dict[int, int]] = [{comp[0]: 0}]
     for _ in range(n):
-        row: dict[Node, int] = {}
+        row: dict[int, int] = {}
         for u, du in rows[-1].items():
             for v, w in succ[u]:
                 cand = du + w
@@ -217,32 +169,6 @@ def _karp(comp: list[Node], arcs: list[Arc]) -> tuple[int, int]:
     return _largest(means)
 
 
-def _component_means(
-    nodes: tuple[str, ...], edges: list[REdge], weight: Callable[[REdge], Fraction]
-) -> tuple[int, list[tuple[tuple[int, int], list[str], list[Arc]]]]:
-    """Scale the weights to ints, then Karp on each component that holds a cycle.
-
-    Returns the scale and, per cyclic component in Tarjan order, its mean
-    (num, den) on the scaled weights, its nodes and its internal arcs.
-    """
-    values = [weight(e) for e in edges]
-    scale = lcm(*(x.denominator for x in values))
-    succ: dict[str, list[str]] = {v: [] for v in nodes}
-    for e in edges:
-        succ[e.src].append(e.dst)
-    comps = _scc_list(nodes, succ)
-    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
-    inner: list[list[Arc]] = [[] for _ in comps]
-    for i, (e, x) in enumerate(zip(edges, values)):
-        c = comp_of[e.src]
-        if c == comp_of[e.dst]:
-            inner[c].append((i, e.src, e.dst, x.numerator * (scale // x.denominator)))
-    scored = [(_karp(comp, arcs), comp, arcs) for comp, arcs in zip(comps, inner) if arcs]
-    if not scored:
-        raise ValueError("graph has no cycle")
-    return scale, scored
-
-
 def _largest(means: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """The largest of some means given as (num, den) pairs with den > 0."""
     best_num, best_den = None, 1
@@ -252,10 +178,10 @@ def _largest(means: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return best_num, best_den
 
 
-def _potentials(comp: list[str], arcs: list[tuple[str, str, int]]) -> dict[str, int]:
+def _potentials(comp: list[int], arcs: list[tuple[int, int, int]]) -> dict[int, int]:
     # longest walks from the root under the adjusted weights; finite because
     # no cycle has a positive adjusted weight once mu is the maximum cycle mean
-    pot: dict[str, int | None] = {v: None for v in comp}
+    pot: dict[int, int | None] = {v: None for v in comp}
     pot[comp[0]] = 0
     for _ in range(len(comp) - 1):
         changed = False
@@ -272,129 +198,165 @@ def _potentials(comp: list[str], arcs: list[tuple[str, str, int]]) -> dict[str, 
     return pot
 
 
-def _critical_subgraph(
-    nodes: tuple[str, ...], edges: list[REdge], weight: Callable[[REdge], Fraction]
-) -> tuple[Fraction, list[str], list[REdge]]:
-    """Maximum cycle mean plus the union of all cycles attaining it.
+def _critical_subgraph(arcs: list[Arc]) -> tuple[tuple[int, int], list[Arc]]:
+    """Maximum cycle mean, as (num, den), plus the arcs of all cycles attaining it.
 
-    Within a maximizing component, an edge lies on a maximum-mean cycle
-    exactly when it is tight for the longest-walk potentials; every cycle
-    made of tight edges has the maximum mean.  With mu = P / (Q * scale),
-    the adjusted weight of an edge is its scaled weight times Q minus P, an
-    integer, so tightness is an integer equality.
+    Tarjan splits the graph into components and Karp scores each one that
+    holds a cycle.  Within a maximizing component, an arc lies on a
+    maximum-mean cycle exactly when it is tight for the longest-walk
+    potentials; every cycle made of tight arcs has the maximum mean.  With
+    mu = P / Q, the adjusted weight of an arc is its weight times Q minus
+    P, an integer, so tightness is an integer equality.  A tight arc on no
+    cycle lies inside no strongly connected component of the returned
+    subgraph, so a second pass and the cycle search ignore it.
     """
-    scale, scored = _component_means(nodes, edges, weight)
+    succ: dict[int, list[int]] = {}
+    for _, src, dst, _ in arcs:
+        succ.setdefault(dst, [])
+        succ.setdefault(src, []).append(dst)
+    comps = _scc_list(list(succ), succ)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    inner: list[list[Arc]] = [[] for _ in comps]
+    for arc in arcs:
+        c = comp_of[arc[1]]
+        if c == comp_of[arc[2]]:
+            inner[c].append(arc)
+    scored = [(_karp(comp, own), comp, own) for comp, own in zip(comps, inner) if own]
     P, Q = _largest(mean for mean, _, _ in scored)
-    crit_nodes: list[str] = []
-    crit_edges: list[REdge] = []
-    for (num, den), comp, arcs in scored:
+    critical: list[Arc] = []
+    for (num, den), comp, own in scored:
         if num * Q != P * den:
             continue
-        adjusted = [(src, dst, w * Q - P) for _, src, dst, w in arcs]
+        adjusted = [(src, dst, w * Q - P) for _, src, dst, w in own]
         pot = _potentials(comp, adjusted)
-        tight = [
-            edges[i]
-            for (i, _, _, _), (src, dst, a) in zip(arcs, adjusted)
-            if pot[src] + a == pot[dst]
-        ]
-        keep = {e.src for e in tight} | {e.dst for e in tight}
-        crit_nodes.extend(v for v in comp if v in keep)
-        crit_edges.extend(tight)
-    return Fraction(P, Q * scale), crit_nodes, crit_edges
+        critical.extend(
+            arc for arc, (src, dst, a) in zip(own, adjusted) if pot[src] + a == pot[dst]
+        )
+    return (P, Q), critical
 
 
-def _reaches(adj: dict[str, list[REdge]], src: str, target: str, blocked: set[str]) -> bool:
+def _reaches(
+    adj: dict[int, list[tuple[int, int]]], src: int, target: int, blocked: set[int]
+) -> bool:
     seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for e in adj.get(u, ()):
-            if e.dst == target:
+    queue = [src]
+    for u in queue:
+        for _, v in adj.get(u, ()):
+            if v == target:
                 return True
-            if e.dst not in blocked and e.dst not in seen:
-                seen.add(e.dst)
-                queue.append(e.dst)
+            if v not in blocked and v not in seen:
+                seen.add(v)
+                queue.append(v)
     return False
 
 
-def _lex_min_simple_cycle(
-    node_order: dict[str, int],
-    action_order: dict[str, int],
-    nodes: list[str],
-    edges: list[REdge],
-) -> tuple[list[str], list[str]]:
+def _lex_min_simple_cycle(arcs: list[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
     """Lexicographically smallest simple cycle of a nonempty cyclic subgraph.
 
-    Smallest means: start at the least node lying on any cycle, then greedily
-    take the least (action, successor) step that can still be closed into a
-    simple cycle.  Greedy is exact for lexicographic order because closing
-    feasibility is checked before committing to a step.
+    An arc is (src, step, dst): nodes and steps are ranks, compared as
+    ints.  Smallest means: start at the least node lying on any cycle, then
+    greedily take the least (step, successor) that can still be closed into
+    a simple cycle.  Greedy is exact for lexicographic order because
+    closing feasibility is checked before committing to a step.  Returns
+    the cycle's nodes, first one repeated at the end, and its steps.
     """
-    adj: dict[str, list[REdge]] = {v: [] for v in nodes}
-    for e in edges:
-        adj[e.src].append(e)
-    for v in nodes:
-        adj[v].sort(key=lambda e: (action_order[e.action], node_order[e.dst]))
-    for v0 in sorted(nodes, key=node_order.get):
-        if not any(e.dst == v0 or _reaches(adj, e.dst, v0, set()) for e in adj[v0]):
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for src, step, dst in sorted(arcs):
+        adj.setdefault(src, []).append((step, dst))
+    for v0, out in adj.items():
+        if not any(dst == v0 or _reaches(adj, dst, v0, set()) for _, dst in out):
             continue
-        states = [v0]
-        actions: list[str] = []
+        nodes = [v0]
+        steps: list[int] = []
         visited = {v0}
-        cur = v0
         while True:
-            for e in adj[cur]:
-                if e.dst == v0:
-                    return states + [v0], actions + [e.action]
-                if e.dst in visited:
-                    continue
-                if _reaches(adj, e.dst, v0, visited):
-                    states.append(e.dst)
-                    actions.append(e.action)
-                    visited.add(e.dst)
-                    cur = e.dst
+            for step, dst in adj[nodes[-1]]:
+                if dst == v0:
+                    return nodes + [v0], steps + [step]
+                if dst not in visited and _reaches(adj, dst, v0, visited):
+                    nodes.append(dst)
+                    steps.append(step)
+                    visited.add(dst)
                     break
             else:
                 raise AssertionError("greedy cycle construction dead-ended")
     raise ValueError("subgraph has no cycle")
 
 
-def max_mean_cycle(graph: ResponseGraph) -> tuple[Fraction, MachinePath]:
+def _first_visits(machine: Machine, game: StageGame) -> tuple[list[int], dict[int, int]]:
+    """The responder's input slots in the game's action order, and the
+    states reachable from the start, in first-visit order along those
+    slots, each mapped to the code `q * d + k` of the arc that first
+    reached it (the start to -1)."""
+    inputs, nxt = machine.input_actions, machine._nxt
+    d = len(inputs)
+    slots = [inputs.index(a) for a in game.actions(opponent(machine.player))]
+    order = [machine._start]
+    via = {machine._start: -1}
+    for q in order:
+        for k in slots:
+            dst = nxt[q * d + k]
+            if dst not in via:
+                via[dst] = q * d + k
+                order.append(dst)
+    return slots, via
+
+
+def max_mean_cycle(machine: Machine, game: StageGame) -> tuple[Fraction, MachinePath]:
     """Best responder cycle mean plus a simple witness cycle.
 
     Ties among maximum-mean simple cycles are broken by the largest mean for
-    the machine's owner, then by lexicographically smallest state sequence,
-    so the witness is deterministic.
+    the machine's owner, then by the lexicographically smallest walk, with
+    states ranked by first visit from the start and actions by the game's
+    order, so the witness is deterministic.
     """
-    edges = graph.edges()
-    mu, nodes1, edges1 = _critical_subgraph(graph.nodes, edges, lambda e: e.w_resp)
-    _, nodes2, edges2 = _critical_subgraph(tuple(nodes1), edges1, lambda e: e.w_other)
-    node_order = {v: i for i, v in enumerate(graph.nodes)}
-    action_order = {a: i for i, a in enumerate(graph.game.actions(graph.responder))}
-    states, actions = _lex_min_simple_cycle(node_order, action_order, nodes2, edges2)
-    witness = MachinePath(graph.machine, tuple(states), tuple(actions))
-    return mu, witness
+    validate_machine(machine, game)
+    inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
+    d = len(inputs)
+    slots, via = _first_visits(machine, game)
+    resp = 2 - machine.player  # the responder's entry in a payoff pair
+
+    def weight(code: int, who: int) -> int:
+        o, a = outs[code // d], inputs[code % d]
+        return game.scaled[(o, a) if machine.player == 1 else (a, o)][who]
+
+    arcs = [(c, q, nxt[c], weight(c, resp)) for q in via for c in range(q * d, q * d + d)]
+    (P, Q), critical = _critical_subgraph(arcs)
+    owner = [(c, q, dst, weight(c, 1 - resp)) for c, q, dst, _ in critical]
+    _, critical = _critical_subgraph(owner)
+    rank = {q: r for r, q in enumerate(via)}
+    step = {k: s for s, k in enumerate(slots)}
+    nodes, steps = _lex_min_simple_cycle(
+        [(rank[q], step[c % d], rank[dst]) for c, q, dst, _ in critical]
+    )
+    order = list(via)
+    actions = game.actions(opponent(machine.player))
+    witness = MachinePath(
+        machine, tuple(machine.states[order[r]] for r in nodes), tuple(actions[s] for s in steps)
+    )
+    return Fraction(P, Q * game.scale), witness
 
 
-def _best_reachable(
-    machine: Machine, game: StageGame, roots: Sequence[int]
-) -> list[tuple[int, int] | None]:
-    """The best responder cycle mean reachable from each state that `roots` reach.
+@lru_cache(maxsize=None)
+def _best_reachable(machine: Machine, game: StageGame) -> tuple[tuple[int, int] | None, ...]:
+    """The best responder cycle mean reachable from each state of `machine`.
 
-    The responder's graph runs on the machine's integer table: from state
-    q, the responder's k-th action leads to `_nxt[q * d + k]` and pays it
-    the game's scaled payoff.  Tarjan from the root states finds the
-    components they reach sinks first, so one pass folds each component's
-    own Karp mean (if it holds a cycle) with the best of the components it
-    leads to.  A mean is (num, den) on the scaled payoffs; a state the
-    roots do not reach gets None.
+    This is the one cached analysis of the responder's graph: the value,
+    the Nash screen and sequence forcing all read it.  Tarjan from the
+    start state finds the components it reaches sinks first, so one pass
+    folds each component's own Karp mean (if it holds a cycle) with the
+    best of the components it leads to.  A mean is (num, den) on the
+    game's scaled payoffs, num / (den * game.scale); a state the start
+    does not reach gets None.  The machine is validated first, so every
+    cached table belongs to a valid machine.
     """
+    validate_machine(machine, game)
     inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
     d = len(inputs)
     slot = 2 - machine.player  # the responder's entry in a payoff pair
     scaled = game.scaled
     succ = [nxt[q * d : (q + 1) * d] for q in range(len(outs))]
-    comps = _scc_list(roots, succ)
+    comps = _scc_list((machine._start,), succ)
     comp_of = [-1] * len(outs)
     for c, comp in enumerate(comps):
         for q in comp:
@@ -414,15 +376,12 @@ def _best_reachable(
         if arcs:
             means.append(_karp(comp, arcs))
         best.append(_largest(means))
-    return [best[c] if c >= 0 else None for c in comp_of]
+    return tuple(best[c] if c >= 0 else None for c in comp_of)
 
 
-@lru_cache(maxsize=None)
 def best_response_value(machine: Machine, game: StageGame) -> Fraction:
     """Best limit-of-means payoff achievable against `machine`."""
-    validate_machine(machine, game)
-    start = machine._start
-    num, den = _best_reachable(machine, game, (start,))[start]
+    num, den = _best_reachable(machine, game)[machine._start]
     return Fraction(num, den * game.scale)
 
 
@@ -431,55 +390,32 @@ def construct_best_response(machine: Machine, game: StageGame) -> Machine:
 
     It plays a fixed action script (shortest path into the witness cycle,
     then the cycle), ignoring its observations, so its state count is path
-    length plus cycle length.
+    length plus cycle length.  The path ends at the cycle state first
+    visited from the start, walking the responder's actions in the game's
+    order.
     """
-    graph = build_response_graph(machine, game)
-    _, witness = max_mean_cycle(graph)
-    cycle_states = witness.states[:-1]
-    cycle_set = set(cycle_states)
+    _, witness = max_mean_cycle(machine, game)
+    cycle = [machine.states.index(q) for q in witness.states[:-1]]
+    _, via = _first_visits(machine, game)
+    entry = next(q for q in via if q in cycle)
+    d = len(machine.input_actions)
+    path: list[str] = []
+    q = entry
+    while via[q] >= 0:
+        path.append(machine.input_actions[via[q] % d])
+        q = via[q] // d
+    start = cycle.index(entry)
+    script = path[::-1] + list(witness.actions[start:] + witness.actions[:start])
 
-    path_actions: list[str] = []
-    if graph.initial not in cycle_set:
-        parent: dict[str, tuple[str, str]] = {}
-        queue = deque([graph.initial])
-        seen = {graph.initial}
-        entry = None
-        while queue:
-            u = queue.popleft()
-            for e in graph.adj[u]:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    parent[e.dst] = (u, e.action)
-                    if e.dst in cycle_set:
-                        entry = e.dst
-                        queue.clear()
-                        break
-                    queue.append(e.dst)
-        assert entry is not None, "cycle unreachable from the initial state"
-        node = entry
-        rev: list[str] = []
-        while node != graph.initial:
-            prev, action = parent[node]
-            rev.append(action)
-            node = prev
-        path_actions = rev[::-1]
-    else:
-        entry = graph.initial
-
-    start = cycle_states.index(entry)
-    cycle_script = [witness.actions[(start + k) % len(cycle_states)] for k in range(len(cycle_states))]
-
-    responder = graph.responder
-    script = path_actions + cycle_script
-    loop_start = len(path_actions)
+    responder = opponent(machine.player)
+    loop_start = len(path)
     states = tuple(f"w{i}" for i in range(len(script)))
-    output = {f"w{i}": a for i, a in enumerate(script)}
-    inputs = game.actions(machine.player)
+    output = dict(zip(states, script))
     transition = {}
-    for i in range(len(script)):
-        nxt = i + 1 if i + 1 < len(script) else loop_start
-        for a in inputs:
-            transition[(f"w{i}", a)] = f"w{nxt}"
+    for i, w in enumerate(states):
+        nxt = states[i + 1] if i + 1 < len(script) else states[loop_start]
+        for a in game.actions(machine.player):
+            transition[(w, a)] = nxt
     return Machine(responder, states, "w0", output, transition, name=f"br{responder}")
 
 
@@ -497,8 +433,8 @@ def is_sequence_forcing(
     is payoff-maximal exactly when its eventual cycle attains that value, so
     (3) makes any single deviation forfeit optimality forever while (1)+(2)
     pin every non-deviating best response to the sequence itself.  The
-    off-walk steps' cycle means come from one pass over the components of
-    the response graph that those steps reach.
+    value and the off-walk steps' best reachable means are read from the
+    machine's one cached table, `_best_reachable`.
 
     The test runs on the machine's integer table: the walk visits codes
     `state index * k + phase`, the cycle is summed on the game's scaled
@@ -509,7 +445,8 @@ def is_sequence_forcing(
     if not seq.entries:
         raise ValueError("empty action sequence")
     validate_sequence(seq, game)
-    value = best_response_value(machine, game)
+    best = _best_reachable(machine, game)
+    value_num, value_den = best[machine._start]
     k = len(seq)
     own = machine.player - 1
     resp = responder - 1
@@ -534,11 +471,11 @@ def is_sequence_forcing(
     walk = list(seen)
     cycle = walk[seen[code] :]
     total = sum(game.scaled[seq.entries[c % k]][resp] for c in cycle)
-    if not game.mean_equals(total, len(cycle), value):
+    if total * value_den != value_num * len(cycle):
         return False, (
             f"following the sequence pays the responder "
             f"{Fraction(total, len(cycle) * game.scale)}, but the "
-            f"best-response value is {value}"
+            f"best-response value is {Fraction(value_num, value_den * game.scale)}"
         )
 
     taken = [-1] * len(outs)  # the input slot the walk takes from each state
@@ -553,27 +490,18 @@ def is_sequence_forcing(
             )
         taken[q] = slot
 
-    # the states reachable from the start, in first-visit order with the
-    # responder's actions in the game's order, and their off-walk steps
-    slots = [inputs.index(a) for a in game.actions(responder)]
-    order = [machine._start]
-    reached = {machine._start}
-    for q in order:
+    # every step off the walk, from each reachable state in first-visit
+    # order, must lead where the best reachable mean is below the value
+    slots, via = _first_visits(machine, game)
+    for q in via:
         for slot in slots:
-            dst = nxt[q * d + slot]
-            if dst not in reached:
-                reached.add(dst)
-                order.append(dst)
-    off_walk = [
-        (q, slot, nxt[q * d + slot]) for q in order for slot in slots if slot != taken[q]
-    ]
-    best = _best_reachable(machine, game, [dst for _, _, dst in off_walk])
-    for q, slot, dst in off_walk:
-        num, den = best[dst]
-        if num * value.denominator >= value.numerator * den * game.scale:
-            return False, (
-                f"deviating with {inputs[slot]} at state {machine.states[q]} still allows "
-                f"cycle mean {Fraction(num, den * game.scale)}; a best response may leave "
-                "the sequence"
-            )
+            if slot == taken[q]:
+                continue
+            num, den = best[nxt[q * d + slot]]
+            if num * value_den >= value_num * den:
+                return False, (
+                    f"deviating with {inputs[slot]} at state {machine.states[q]} still allows "
+                    f"cycle mean {Fraction(num, den * game.scale)}; a best response may leave "
+                    "the sequence"
+                )
     return True, "every best response must replay the sequence from the first step"

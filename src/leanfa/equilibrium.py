@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .cycles import best_response_value, construct_best_response, is_sequence_forcing
+from .cycles import _best_reachable, construct_best_response, is_sequence_forcing
 from .games import PlayerId, StageGame, forcing_actions, is_strictly_enforceable, opponent
 from .machines import Machine, classify_states, cycle_totals, simulate
 from .sequences import (
@@ -132,19 +132,24 @@ def is_best_response(m_i: Machine, m_j: Machine, game: StageGame) -> bool:
     if m_i.player == m_j.player:
         raise ValueError("machines must belong to opposite players")
     *totals, steps = cycle_totals(*_oriented(m_i.player, m_i, m_j), game)
-    return game.mean_equals(totals[m_i.player - 1], steps, best_response_value(m_j, game))
+    num, den = _best_reachable(m_j, game)[m_j._start]
+    return totals[m_i.player - 1] * den == num * steps
 
 
 def nash_deviator(m1: Machine, m2: Machine, game: StageGame) -> PlayerId | None:
     """The first player whose payoff falls short of its best-response value.
 
-    None means the pair is a Nash equilibrium.  No witness is built, and
-    the payoffs are compared as integer totals.
+    None means the pair is a Nash equilibrium.  No witness is built: each
+    side's scaled payoff total over the pair's cycle is compared with the
+    start entry (num, den) of the other machine's best-reachable table by
+    cross-multiplication.
     """
     total1, total2, steps = cycle_totals(m1, m2, game)
-    if not game.mean_equals(total1, steps, best_response_value(m2, game)):
+    num, den = _best_reachable(m2, game)[m2._start]
+    if total1 * den != num * steps:
         return 1
-    if not game.mean_equals(total2, steps, best_response_value(m1, game)):
+    num, den = _best_reachable(m1, game)[m1._start]
+    if total2 * den != num * steps:
         return 2
     return None
 
@@ -451,15 +456,15 @@ def _find_deviation(
 ) -> Machine | None:
     """First strictly simpler machine for player i that is a best response
     to m_j (and, when require_nash, keeps the whole pair at Nash)."""
-    target = best_response_value(m_j, game)
+    target_num, target_den = _best_reachable(m_j, game)[m_j._start]
     for cand in _deviation_candidates(game, i, measure, incumbent_value, bound, m_j):
         *totals, steps = cycle_totals(*_oriented(i, cand, m_j), game)
-        if not game.mean_equals(totals[i - 1], steps, target):
+        if totals[i - 1] * target_den != target_num * steps:
             continue
-        if require_nash and not game.mean_equals(
-            totals[2 - i], steps, best_response_value(cand, game)
-        ):
-            continue
+        if require_nash:
+            num, den = _best_reachable(cand, game)[cand._start]
+            if totals[2 - i] * den != num * steps:
+                continue
         return cand
     return None
 

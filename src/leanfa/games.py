@@ -124,11 +124,6 @@ class StageGame:
         totals = list(self.payoff_totals(pairs))
         return self.profile_of(totals[-1], len(totals))
 
-    def mean_equals(self, total: int, steps: int, value: Fraction) -> bool:
-        """Whether `steps` stage payoffs whose scaled total is `total` have
-        mean `value`, compared by cross-multiplication: no `Fraction` is built."""
-        return total * value.denominator == value.numerator * steps * self.scale
-
     def profile_of(self, total: tuple[int, int], steps: int) -> PayoffProfile:
         """The mean profile of `steps` stage payoffs whose scaled totals are `total`."""
         den = steps * self.scale

@@ -28,9 +28,10 @@ class Machine:
 
     `output` maps each state to an own action; `transition` maps each
     (state, opponent action) pair to a state, totally.  Equality and
-    hashing ignore the name.  Both maps are read-only views of private
-    copies, so the equality key built from them, and the hash computed
-    once, cannot go stale.
+    hashing ignore the name but not the input actions, so a cache keyed
+    by machine never answers for a machine of another game.  Both maps
+    are read-only views of private copies, so the equality key built from
+    them, and the hash computed once, cannot go stale.
 
     The same machine is also kept as one integer table, built once:
     states are indexed by their position in `states`, `_start` is the
@@ -75,7 +76,7 @@ class Machine:
                 if dst not in index:
                     raise ValueError(f"transition ({q},{a}) targets unknown state {dst!r}")
         outs = tuple(self.output[q] for q in self.states)
-        key = (self.player, self.states, self.initial, outs, targets)
+        key = (self.player, self.states, self.initial, outs, inputs, targets)
         object.__setattr__(self, "input_actions", inputs)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -268,6 +269,7 @@ class ComplexityReport:
 
 @lru_cache(maxsize=None)
 def classify_states(machine: Machine, game: StageGame) -> ComplexityReport:
+    validate_machine(machine, game)
     force = set(forcing_actions(game, machine.player))
     inputs = game.actions(opponent(machine.player))
     threat = frozenset(
@@ -406,6 +408,7 @@ def canonical_form(machine: Machine, game: StageGame) -> Machine:
     canonical forms are equal.  Input order is the game's declared order for
     the opponent's actions.
     """
+    validate_machine(machine, game)
     inputs = game.actions(opponent(machine.player))
     order = reachable_states(machine, inputs)
     rename = {q: str(i) for i, q in enumerate(order)}

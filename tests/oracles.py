@@ -15,13 +15,14 @@ from leanfa import (
     MachinePath,
     Measure,
     PayoffProfile,
-    ResponseGraph,
     SearchBound,
     StageGame,
     is_abreu_rubinstein,
     is_lean,
 )
 from leanfa.cli import budget_from_env
+
+from reference_karp import ResponseGraph
 
 
 def max_abs_payoff(game: StageGame) -> Fraction:

@@ -1,19 +1,132 @@
 """Maximum cycle mean computed entirely in exact `Fraction`s.
 
 This is the plain form of Karp's algorithm and of the critical-subgraph
-witness search that `leanfa.cycles` runs on integer-scaled weights, and of
-`is_sequence_forcing` with a separate Tarjan and Karp run per off-walk
-step. The differential tests compare them with the library on random
-machines; only the witness's final lex-min cycle step is shared with it.
+witness search that `leanfa.cycles` runs on the machine's integer table,
+and of `is_sequence_forcing` with a separate Tarjan and Karp run per
+off-walk step. It works on a response graph keyed by state name, with
+`Fraction` edge weights (`build_response_graph`), and finds the witness's
+lex-min cycle on names, so it shares no cycle code with the library. The
+differential tests compare the two on random machines; `oracles` walks
+the same graph to enumerate simple cycles.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from leanfa import ActionSeq, Machine, StageGame, build_response_graph
-from leanfa.cycles import MachinePath, REdge, ResponseGraph, _lex_min_simple_cycle
+from leanfa import ActionSeq, Machine, MachinePath, StageGame, validate_machine
+from leanfa.games import PlayerId, opponent
+from leanfa.machines import reachable_states
+
+
+class REdge(NamedTuple):
+    """One responder choice: from machine state `src`, playing `action`."""
+
+    src: str
+    action: str
+    dst: str
+    w_resp: Fraction
+    w_other: Fraction
+
+
+@dataclass(frozen=True, eq=False)
+class ResponseGraph:
+    """The responder's decision graph over an opponent machine.
+
+    Every node has out-degree equal to the responder's action count; edge
+    weights are exact payoffs from the stage-game table, one per player.
+    """
+
+    machine: Machine
+    game: StageGame
+    responder: PlayerId
+    nodes: tuple[str, ...]
+    adj: dict[str, tuple[REdge, ...]]
+
+    @property
+    def initial(self) -> str:
+        return self.machine.initial
+
+    def edges(self) -> list[REdge]:
+        return [e for q in self.nodes for e in self.adj[q]]
+
+
+def build_response_graph(machine: Machine, game: StageGame) -> ResponseGraph:
+    validate_machine(machine, game)
+    responder = opponent(machine.player)
+    actions = game.actions(responder)
+    nodes = reachable_states(machine, actions)
+    adj: dict[str, tuple[REdge, ...]] = {}
+    for q in nodes:
+        out = machine.output[q]
+        edges = []
+        for a in actions:
+            pair = (out, a) if machine.player == 1 else (a, out)
+            edges.append(
+                REdge(q, a, machine.transition[(q, a)], game.u(responder, *pair),
+                      game.u(machine.player, *pair))
+            )
+        adj[q] = tuple(edges)
+    return ResponseGraph(machine, game, responder, nodes, adj)
+
+
+def reaches(adj: dict[str, list[REdge]], src: str, target: str, blocked: set[str]) -> bool:
+    seen = {src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for e in adj.get(u, ()):
+            if e.dst == target:
+                return True
+            if e.dst not in blocked and e.dst not in seen:
+                seen.add(e.dst)
+                queue.append(e.dst)
+    return False
+
+
+def lex_min_simple_cycle(
+    node_order: dict[str, int],
+    action_order: dict[str, int],
+    nodes: list[str],
+    edges: list[REdge],
+) -> tuple[list[str], list[str]]:
+    """Lexicographically smallest simple cycle of a nonempty cyclic subgraph.
+
+    Smallest means: start at the least node lying on any cycle, then greedily
+    take the least (action, successor) step that can still be closed into a
+    simple cycle.  Greedy is exact for lexicographic order because closing
+    feasibility is checked before committing to a step.
+    """
+    adj: dict[str, list[REdge]] = {v: [] for v in nodes}
+    for e in edges:
+        adj[e.src].append(e)
+    for v in nodes:
+        adj[v].sort(key=lambda e: (action_order[e.action], node_order[e.dst]))
+    for v0 in sorted(nodes, key=node_order.get):
+        if not any(e.dst == v0 or reaches(adj, e.dst, v0, set()) for e in adj[v0]):
+            continue
+        states = [v0]
+        actions: list[str] = []
+        visited = {v0}
+        cur = v0
+        while True:
+            for e in adj[cur]:
+                if e.dst == v0:
+                    return states + [v0], actions + [e.action]
+                if e.dst in visited:
+                    continue
+                if reaches(adj, e.dst, v0, visited):
+                    states.append(e.dst)
+                    actions.append(e.action)
+                    visited.add(e.dst)
+                    cur = e.dst
+                    break
+            else:
+                raise AssertionError("greedy cycle construction dead-ended")
+    raise ValueError("subgraph has no cycle")
 
 
 def scc_list(nodes: tuple[str, ...], succ: dict[str, set[str]]) -> list[list[str]]:
@@ -153,7 +266,7 @@ def max_mean_cycle(graph: ResponseGraph) -> tuple[Fraction, MachinePath]:
     _, nodes2, edges2 = critical_subgraph(tuple(nodes1), edges1, lambda e: e.w_other)
     node_order = {v: i for i, v in enumerate(graph.nodes)}
     action_order = {a: i for i, a in enumerate(graph.game.actions(graph.responder))}
-    states, actions = _lex_min_simple_cycle(node_order, action_order, nodes2, edges2)
+    states, actions = lex_min_simple_cycle(node_order, action_order, nodes2, edges2)
     return mu, MachinePath(graph.machine, tuple(states), tuple(actions))
 
 

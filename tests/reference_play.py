@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from leanfa import Machine, StageGame, build_response_graph
+from leanfa import Machine, StageGame
 from leanfa.machines import Play, Step
 
 import reference_karp
@@ -39,7 +39,7 @@ def simulate(m1: Machine, m2: Machine) -> Play:
 
 @lru_cache(maxsize=None)
 def best_response_value(machine: Machine, game: StageGame) -> Fraction:
-    return reference_karp.max_mean_cycle(build_response_graph(machine, game))[0]
+    return reference_karp.max_mean_cycle(reference_karp.build_response_graph(machine, game))[0]
 
 
 def nash_deviator(m1: Machine, m2: Machine, game: StageGame) -> int | None:

@@ -15,7 +15,6 @@ from leanfa import (
     Measure,
     SearchBound,
     build_internal_threat_machines,
-    build_response_graph,
     build_trigger_machines,
     enumerate_machines,
     grim_trigger,
@@ -41,6 +40,7 @@ from leanfa.equilibrium import FAILS, HOLDS
 
 from conftest import random_game, random_machine
 from oracles import ar_implies_lean, enumerate_simple_cycles
+from reference_karp import build_response_graph
 
 F = Fraction
 
@@ -227,9 +227,9 @@ def test_criterion_10_cycle_oracle():
             game = random_game(rng)
             player = rng.choice((1, 2))
             machine = random_machine(rng, player, game, rng.randint(1, 5))
-            graph = build_response_graph(machine, game)
-            value, witness = max_mean_cycle(graph)
+            value, witness = max_mean_cycle(machine, game)
             responder = 3 - player
+            graph = build_response_graph(machine, game)
             best = max(
                 path_payoff(c, game, responder) for c in enumerate_simple_cycles(graph)
             )

@@ -332,6 +332,22 @@ def test_enumerate_jobs_deterministic_on_a_random_game(tmp_path, monkeypatch):
     assert "summary: pairs=700 nash=69 hits=69" in out1
 
 
+def test_enumerate_jobs_deterministic_on_the_lean_path(tmp_path, monkeypatch):
+    # the lean search with its deviation pool and the structure audit, on
+    # the same random 2x3 game; past pair 218 one pair's delta pool scan
+    # takes minutes, so the prefix stops at 200
+    path = tmp_path / "random.game"
+    path.write_text(game_to_text(random_game(random.Random(23), 2, 3)))
+    monkeypatch.setenv("LEANFA_BUDGET", "200")
+    args = ("enumerate", str(path), "--states", "2", "--find", "lean", "--measure", "delta",
+            "--audit", "structure")
+    code1, out1 = run(*args, "--jobs", "1")
+    code2, out2 = run(*args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "summary: pairs=200 nash=29 hits=1" in out1
+
+
 def test_export_dot_deterministic(grim_files):
     code1, out1 = run("export-dot", "pd", grim_files[0])
     code2, out2 = run("export-dot", "pd", grim_files[0])

@@ -7,11 +7,13 @@ from leanfa import (
     ActionSeq,
     Machine,
     MachinePath,
+    Measure,
     best_response_value,
-    build_response_graph,
     build_internal_threat_machines,
     build_trigger_machines,
     construct_best_response,
+    is_abreu_rubinstein,
+    is_lean,
     is_sequence_forcing,
     limit_mean_payoff,
     max_mean_cycle,
@@ -19,10 +21,12 @@ from leanfa import (
     path_payoff,
     simulate,
 )
+from leanfa.cycles import _best_reachable
 from leanfa.games import PayoffProfile
 
 from conftest import random_game, random_machine
 from oracles import convex_combination, enumerate_simple_cycles, subcycle_decompose
+from reference_karp import build_response_graph
 
 F = Fraction
 
@@ -61,22 +65,29 @@ def test_path_validation(pd, grim1):
         MachinePath(grim1, ("g0", "g0"), ("D",))  # grim leaves g0 on D
     with pytest.raises(ValueError):
         path_payoff(MachinePath(grim1, ("g0",), ()), pd, 1)
+    # an action or a state the machine does not have is a bad step, not a KeyError
+    with pytest.raises(ValueError, match=r"step 1 .*\(g0,Z\)"):
+        MachinePath(grim1, ("g0", "g1"), ("Z",))
+    with pytest.raises(ValueError, match="starts at zz"):
+        MachinePath(grim1, ("zz", "g0"), ("C",))
+    with pytest.raises(ValueError, match="starts at zz"):
+        MachinePath(grim1, ("zz",), ())
 
 
 def test_max_mean_cycle_vs_grim(pd, grim2):
-    value, witness = max_mean_cycle(build_response_graph(grim2, pd))
+    value, witness = max_mean_cycle(grim2, pd)
     assert value == 2
     assert witness.states == ("g0", "g0") and witness.actions == ("C",)
 
 
 def test_max_mean_cycle_vs_always_cooperate(pd, always):
-    value, witness = max_mean_cycle(build_response_graph(always(2, "C"), pd))
+    value, witness = max_mean_cycle(always(2, "C"), pd)
     assert value == 3
     assert witness.actions == ("D",)
 
 
 def test_max_mean_cycle_vs_trigger(pd, trigger_pair):
-    value, witness = max_mean_cycle(build_response_graph(trigger_pair[1], pd))
+    value, witness = max_mean_cycle(trigger_pair[1], pd)
     assert value == 1
     assert witness.is_simple_cycle and len(witness.actions) == 2
 
@@ -116,10 +127,9 @@ def test_max_mean_cycle_matches_enumeration_oracle(pd):
         game = random_game(rng)
         player = rng.choice((1, 2))
         m = random_machine(rng, player, game, rng.randint(1, 6))
-        graph = build_response_graph(m, game)
-        value, witness = max_mean_cycle(graph)
+        value, witness = max_mean_cycle(m, game)
         responder = 3 - player
-        cycles = list(enumerate_simple_cycles(graph))
+        cycles = list(enumerate_simple_cycles(build_response_graph(m, game)))
         assert cycles, "total machines always contain a reachable cycle"
         assert value == max(path_payoff(c, game, responder) for c in cycles)
         assert witness.is_simple_cycle
@@ -145,7 +155,7 @@ def test_witness_tie_break_prefers_opponent_payoff(pd, always):
     from leanfa.games import StageGame
 
     game = StageGame("tie", ("C", "D"), ("C", "D"), game_text_payoffs)
-    value, witness = max_mean_cycle(build_response_graph(m2, game))
+    value, witness = max_mean_cycle(m2, game)
     assert value == 1
     assert witness.actions == ("C",)  # C gives the owner 5, D gives 0
 
@@ -339,3 +349,19 @@ def test_simple_cycles_on_a_ring_deeper_than_the_recursion_limit(pd):
     first = next(enumerate_simple_cycles(build_response_graph(ring, pd), budget=10))
     assert first.states == states + ("r0",)
     assert first.actions == ("C",) * n
+
+
+def test_best_reachable_runs_once_per_machine_across_verdicts(pd):
+    # the Nash screen and both sides' sequence forcing read one cached
+    # table per machine, however many verdicts ask for it
+    m1, m2 = build_trigger_machines(parse_sequence("2*(C,C) 1*(D,D)", pd), pd)
+    _best_reachable.cache_clear()
+    verdicts = [
+        is_lean(m1, m2, pd, Measure.NORMAL_STATES),
+        is_lean(m1, m2, pd, Measure.NORMAL_TRANSITIONS),
+        is_abreu_rubinstein(m1, m2, pd, Measure.NORMAL_STATES),
+    ]
+    assert all(v.holds and v.certificates for v in verdicts)
+    info = _best_reachable.cache_info()
+    assert info.misses == info.currsize == 2
+    assert info.hits > 0

@@ -13,6 +13,7 @@ from leanfa import (
     build_internal_threat_machines,
     canonical_form,
     classify_states,
+    constant_machine,
     enumerate_machines,
     is_abreu_rubinstein,
     is_best_response,
@@ -371,3 +372,10 @@ def test_swapping_players_mirrors_r_and_delta_verdicts(pd, entries):
 @given(st.lists(st.sampled_from(PD_PAIRS), min_size=2, max_size=3))
 def test_swapping_players_mirrors_q_lean_verdicts(pd, entries):
     _swap_agrees(pd, entries, [(is_lean, Measure.TOTAL_STATES)])
+
+
+def test_measure_value_rejects_a_machine_from_another_game(pd):
+    foreign = constant_machine(1, "C", ("X", "Y"))
+    for measure in Measure:
+        with pytest.raises(ValueError, match="reads actions"):
+            measure_value(foreign, pd, measure)

@@ -72,7 +72,14 @@ CENSUS = [
     ["enumerate", "unsorted.game", "--states", "2", "--find", "lean", "--measure", "R"],
 ]
 
-CASES = ENUMERATE + CHECK + SIMULATE + SEQ + CENSUS
+# best-response witnesses on a non-integer game, and on the unsorted game,
+# where the witness's tie-break must follow the declared action order
+WITNESS = [
+    ["check", "frac.game", "frac1.machine", "frac2.machine", "--kind", "nash"],
+    ["check", "unsorted.game", "unsorted1.machine", "unsorted2.machine", "--kind", "nash"],
+]
+
+CASES = ENUMERATE + CHECK + SIMULATE + SEQ + CENSUS + WITNESS
 
 
 def _run(words: list[str]) -> str:

@@ -1,7 +1,7 @@
 """The integer-scaled Karp against the plain Fraction Karp in reference_karp.
 
-Random games have non-integer payoffs, so every graph is scaled by an LCM
-above 1. Three things must agree exactly: the value and the witness cycle
+Random games have non-integer payoffs, so every game's scaled table has an
+LCM above 1. Three things must agree exactly: the value and the witness cycle
 of `max_mean_cycle`, the value of `best_response_value`, and the
 `(bool, note)` of `is_sequence_forcing`, which the reference decides with a
 separate Karp run per off-walk step rather than one pass over the
@@ -15,7 +15,6 @@ from leanfa import (
     PRISONERS_DILEMMA,
     ActionSeq,
     best_response_value,
-    build_response_graph,
     build_trigger_machines,
     is_sequence_forcing,
     is_strictly_enforceable_seq,
@@ -44,9 +43,8 @@ def test_max_mean_cycle_and_value_match_the_fraction_reference():
     for game in games:
         for _ in range(51):
             machine = random_machine(rng, rng.choice((1, 2)), game, rng.randint(1, 6))
-            graph = build_response_graph(machine, game)
-            value, witness = max_mean_cycle(graph)
-            ref_value, ref_witness = ref.max_mean_cycle(graph)
+            value, witness = max_mean_cycle(machine, game)
+            ref_value, ref_witness = ref.max_mean_cycle(ref.build_response_graph(machine, game))
             assert value == ref_value
             assert (witness.states, witness.actions) == (ref_witness.states, ref_witness.actions)
             assert best_response_value(machine, game) == ref_value

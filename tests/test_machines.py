@@ -19,6 +19,7 @@ from leanfa import (
     Relation,
     canonical_form,
     classify_states,
+    constant_machine,
     equivalence_relation,
     finite_mean_payoff,
     limit_mean_payoff,
@@ -446,3 +447,15 @@ def test_machine_maps_are_frozen_and_pickle():
     back = pickle.loads(pickle.dumps(m))
     assert back == m and hash(back) == hash(m)
     assert back.name == m.name and back.output == m.output and back.transition == m.transition
+
+
+def test_classify_and_canonical_form_reject_a_machine_from_another_game(pd, always):
+    # the same table over other input actions is another machine, so a
+    # cached report for the PD one does not answer for it
+    foreign = constant_machine(1, "C", ("X", "Y"))
+    assert foreign != always(1, "C")
+    classify_states(always(1, "C"), pd)
+    with pytest.raises(ValueError, match="reads actions"):
+        classify_states(foreign, pd)
+    with pytest.raises(ValueError, match="reads actions"):
+        canonical_form(foreign, pd)

@@ -12,6 +12,7 @@ from leanfa import (
     check_counting,
     check_first_reuse,
     check_relation_equalities,
+    constant_machine,
     equivalence_relation,
     infer_machines,
     is_lean,
@@ -233,3 +234,8 @@ def test_infer_mismatch_on_redundant_machine(pd, always):
     report = infer_machines(alt, always(2, "C"), pd)
     assert report.isomorphic[0] is False
     assert report.isomorphic[1] is True
+
+
+def test_chain_decompose_rejects_a_machine_from_another_game(pd):
+    with pytest.raises(ValueError, match="reads actions"):
+        chain_decompose(constant_machine(1, "C", ("X", "Y")), pd)
