@@ -1,8 +1,9 @@
 """Command-line front end: simulate, check, seq, enumerate, export-dot.
 
 Exit codes: 0 holds / success, 1 fails, 2 holds-within-bound, 64 usage
-errors, 65 parse errors.  Reports are plain "key: value" text with stable
-field order so they can be parsed by scripts and diffed across runs.
+errors, 65 parse errors and paths that cannot be read or written.
+Reports are plain "key: value" text with stable field order so they can
+be parsed by scripts and diffed across runs.
 """
 
 from __future__ import annotations
@@ -105,12 +106,11 @@ def _load_machine(ws: Workspace, ref: str, player: int) -> Machine:
 
 
 def _machine_brief(machine: Machine) -> str:
+    states, inputs, nxt = machine.states, machine.input_actions, iter(machine._nxt)
     parts = []
-    for q in machine.states:
-        moves = ",".join(
-            f"{a}>{machine.transition[(q, a)]}" for a in machine.input_actions
-        )
-        parts.append(f"{q}:{machine.output[q]}[{moves}]")
+    for q, out in zip(states, machine._outs):
+        moves = ",".join(f"{a}>{states[next(nxt)]}" for a in inputs)
+        parts.append(f"{q}:{out}[{moves}]")
     return ";".join(parts)
 
 
@@ -514,7 +514,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path it cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .games import PlayerId, StageGame, opponent
-from .machines import Machine, validate_machine
+from .machines import Machine, _first_visits, validate_machine
 from .sequences import ActionSeq, validate_sequence
 
 
@@ -283,23 +283,44 @@ def _lex_min_simple_cycle(arcs: list[tuple[int, int, int]]) -> tuple[list[int], 
     raise ValueError("subgraph has no cycle")
 
 
-def _first_visits(machine: Machine, game: StageGame) -> tuple[list[int], dict[int, int]]:
-    """The responder's input slots in the game's action order, and the
-    states reachable from the start, in first-visit order along those
-    slots, each mapped to the code `q * d + k` of the arc that first
-    reached it (the start to -1)."""
-    inputs, nxt = machine.input_actions, machine._nxt
+def _witness_cycle(machine: Machine, game: StageGame):
+    """The value and the witness cycle of `max_mean_cycle`, on the table.
+
+    Returns the value (P, Q) from `_best_reachable`, the first visits `via`
+    of `_first_visits`, and the witness cycle's state indices (the first
+    one repeated at the end) and input indices.  Only states whose best
+    reachable mean is the value can lie on a maximum-mean cycle, and they
+    make up whole components, so the first pass scores only those.
+    """
+    inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
     d = len(inputs)
-    slots = [inputs.index(a) for a in game.actions(opponent(machine.player))]
-    order = [machine._start]
-    via = {machine._start: -1}
-    for q in order:
-        for k in slots:
-            dst = nxt[q * d + k]
-            if dst not in via:
-                via[dst] = q * d + k
-                order.append(dst)
-    return slots, via
+    best = _best_reachable(machine, game)
+    P, Q = best[machine._start]
+    slots, via = _first_visits(machine, game)
+    top = {q for q in via if best[q][0] * Q == P * best[q][1]}
+    resp = 2 - machine.player  # the responder's entry in a payoff pair
+
+    def weight(code: int, who: int) -> int:
+        o, a = outs[code // d], inputs[code % d]
+        return game.scaled[(o, a) if machine.player == 1 else (a, o)][who]
+
+    arcs = [
+        (c, q, nxt[c], weight(c, resp))
+        for q in via
+        if q in top
+        for c in range(q * d, q * d + d)
+        if nxt[c] in top
+    ]
+    _, critical = _critical_subgraph(arcs)
+    owner = [(c, q, dst, weight(c, 1 - resp)) for c, q, dst, _ in critical]
+    _, critical = _critical_subgraph(owner)
+    rank = {q: r for r, q in enumerate(via)}
+    step = {k: s for s, k in enumerate(slots)}
+    nodes, steps = _lex_min_simple_cycle(
+        [(rank[q], step[c % d], rank[dst]) for c, q, dst, _ in critical]
+    )
+    order = list(via)
+    return (P, Q), via, [order[r] for r in nodes], [slots[s] for s in steps]
 
 
 def max_mean_cycle(machine: Machine, game: StageGame) -> tuple[Fraction, MachinePath]:
@@ -310,29 +331,11 @@ def max_mean_cycle(machine: Machine, game: StageGame) -> tuple[Fraction, Machine
     states ranked by first visit from the start and actions by the game's
     order, so the witness is deterministic.
     """
-    validate_machine(machine, game)
-    inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
-    d = len(inputs)
-    slots, via = _first_visits(machine, game)
-    resp = 2 - machine.player  # the responder's entry in a payoff pair
-
-    def weight(code: int, who: int) -> int:
-        o, a = outs[code // d], inputs[code % d]
-        return game.scaled[(o, a) if machine.player == 1 else (a, o)][who]
-
-    arcs = [(c, q, nxt[c], weight(c, resp)) for q in via for c in range(q * d, q * d + d)]
-    (P, Q), critical = _critical_subgraph(arcs)
-    owner = [(c, q, dst, weight(c, 1 - resp)) for c, q, dst, _ in critical]
-    _, critical = _critical_subgraph(owner)
-    rank = {q: r for r, q in enumerate(via)}
-    step = {k: s for s, k in enumerate(slots)}
-    nodes, steps = _lex_min_simple_cycle(
-        [(rank[q], step[c % d], rank[dst]) for c, q, dst, _ in critical]
-    )
-    order = list(via)
-    actions = game.actions(opponent(machine.player))
+    (P, Q), _, nodes, steps = _witness_cycle(machine, game)
     witness = MachinePath(
-        machine, tuple(machine.states[order[r]] for r in nodes), tuple(actions[s] for s in steps)
+        machine,
+        tuple(machine.states[q] for q in nodes),
+        tuple(machine.input_actions[k] for k in steps),
     )
     return Fraction(P, Q * game.scale), witness
 
@@ -342,11 +345,11 @@ def _best_reachable(machine: Machine, game: StageGame) -> tuple[tuple[int, int] 
     """The best responder cycle mean reachable from each state of `machine`.
 
     This is the one cached analysis of the responder's graph: the value,
-    the Nash screen and sequence forcing all read it.  Tarjan from the
-    start state finds the components it reaches sinks first, so one pass
-    folds each component's own Karp mean (if it holds a cycle) with the
-    best of the components it leads to.  A mean is (num, den) on the
-    game's scaled payoffs, num / (den * game.scale); a state the start
+    the Nash screen, sequence forcing and the witness all read it.  Tarjan
+    from the start state finds the components it reaches sinks first, so
+    one pass folds each component's own Karp mean (if it holds a cycle)
+    with the best of the components it leads to.  A mean is (num, den) on
+    the game's scaled payoffs, num / (den * game.scale); a state the start
     does not reach gets None.  The machine is validated first, so every
     cached table belongs to a valid machine.
     """
@@ -394,29 +397,25 @@ def construct_best_response(machine: Machine, game: StageGame) -> Machine:
     visited from the start, walking the responder's actions in the game's
     order.
     """
-    _, witness = max_mean_cycle(machine, game)
-    cycle = [machine.states.index(q) for q in witness.states[:-1]]
-    _, via = _first_visits(machine, game)
+    _, via, nodes, steps = _witness_cycle(machine, game)
+    cycle = nodes[:-1]
     entry = next(q for q in via if q in cycle)
-    d = len(machine.input_actions)
+    inputs = machine.input_actions
+    d = len(inputs)
     path: list[str] = []
     q = entry
     while via[q] >= 0:
-        path.append(machine.input_actions[via[q] % d])
+        path.append(inputs[via[q] % d])
         q = via[q] // d
     start = cycle.index(entry)
-    script = path[::-1] + list(witness.actions[start:] + witness.actions[:start])
+    script = path[::-1] + [inputs[k] for k in steps[start:] + steps[:start]]
 
+    n, loop_start = len(script), len(path)
+    states = tuple(f"w{i}" for i in range(n))
+    reads = tuple(sorted(game.actions(machine.player)))
+    nxt = tuple(i + 1 if i + 1 < n else loop_start for i in range(n) for _ in reads)
     responder = opponent(machine.player)
-    loop_start = len(path)
-    states = tuple(f"w{i}" for i in range(len(script)))
-    output = dict(zip(states, script))
-    transition = {}
-    for i, w in enumerate(states):
-        nxt = states[i + 1] if i + 1 < len(script) else states[loop_start]
-        for a in game.actions(machine.player):
-            transition[(w, a)] = nxt
-    return Machine(responder, states, "w0", output, transition, name=f"br{responder}")
+    return Machine._of_table(responder, states, 0, tuple(script), reads, nxt, f"br{responder}")
 
 
 def is_sequence_forcing(

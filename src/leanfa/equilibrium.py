@@ -22,7 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .cycles import _best_reachable, construct_best_response, is_sequence_forcing
 from .games import PlayerId, StageGame, forcing_actions, is_strictly_enforceable, opponent
@@ -52,7 +52,6 @@ class Measure(enum.Enum):
         raise ValueError(f"unknown measure {text!r} (expected Q, R, or delta)")
 
 
-@lru_cache(maxsize=None)
 def measure_value(machine: Machine, game: StageGame, measure: Measure) -> int:
     report = classify_states(machine, game)
     if measure is Measure.TOTAL_STATES:
@@ -202,33 +201,37 @@ def _pool_rows(
     max_threat: int,
     measure: Measure | None = None,
     below: int = 0,
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Canonical machines up to `max_states` states, as flat integer rows.
+) -> Iterator[tuple[int, tuple[int, ...], tuple[str, ...], tuple[int, ...]]]:
+    """Canonical machines up to `max_states` states, as rows in the
+    machine's own table layout.
 
-    A row is (n, table, outputs, threats).  States are 0..n-1 with 0
-    initial; `table[q * degree + k]` is the target of state q on the
-    opponent's k-th action and `outputs[q]` indexes the player's actions,
-    both in the game's declared order.  `threats` lists the threat states:
-    absorbing states whose output is a forcing action.  All rows of one
-    transition structure share one `table` object.
+    A row is (n, table, outputs, threats): states are 0..n-1 with 0
+    initial, `table` and `outputs` are the machine's `_nxt` (inputs in
+    sorted order) and `_outs`, and `threats` lists the threat states:
+    absorbing states whose output is a forcing action.  The canonical
+    labelling is by first visits along the opponent's actions in the
+    game's declared order (`_structures`); each transition structure is
+    permuted into sorted-input order once, and all rows of one structure
+    share one `table` object.
 
     Given a `measure`, a transition structure none of whose rows can score
     below `below` is skipped before its outputs are enumerated; the rows
     of the other structures still come with every value.
     """
-    own = game.actions(player)
-    degree = len(game.actions(opponent(player)))
-    force = forcing_actions(game, player)
-    forcing = frozenset(k for k, a in enumerate(own) if a in force)
+    inputs = game.actions(opponent(player))
+    degree = len(inputs)
+    by_name = sorted(range(degree), key=inputs.__getitem__)
+    forcing = frozenset(forcing_actions(game, player))
     loops = [(q,) * degree for q in range(max_states)]  # an absorbing state's row
     for n in range(1, max_states + 1):
-        for table in _structures(n, degree):
-            absorbing = [q for q in range(n) if table[q * degree : (q + 1) * degree] == loops[q]]
+        for shape in _structures(n, degree):  # inputs in the declared order
+            absorbing = [q for q in range(n) if shape[q * degree : (q + 1) * degree] == loops[q]]
             if measure is not None:
                 most = min(len(absorbing), max_threat, len(forcing))
-                if _structure_floor(n, table, absorbing, most, measure) >= below:
+                if _structure_floor(n, shape, absorbing, most, measure) >= below:
                     continue
-            for outs in itertools.product(range(len(own)), repeat=n):
+            table = tuple(shape[q * degree + k] for q in range(n) for k in by_name)
+            for outs in itertools.product(game.actions(player), repeat=n):
                 absorbing_outputs = [outs[q] for q in absorbing]
                 if len(set(absorbing_outputs)) != len(absorbing_outputs):
                     continue  # duplicate absorbing states collapse to one
@@ -238,35 +241,26 @@ def _pool_rows(
                 yield n, table, outs, threats
 
 
-def _row_machines(
-    game: StageGame, player: PlayerId, max_states: int
-) -> Callable[[tuple[int, ...], tuple[int, ...]], Machine]:
-    """A builder of the `Machine` of a pool row of up to `max_states` states.
-
-    The machines it builds share their state names and transition keys,
-    so a pool holds one copy of each rather than one per machine.
-    """
-    own = game.actions(player)
-    inputs = game.actions(opponent(player))
-    names = tuple(str(q) for q in range(max_states))
-    prefixes = [names[:n] for n in range(max_states + 1)]
-    keys = [(q, a) for q in names for a in inputs]
-
-    def build(table: tuple[int, ...], outs: tuple[int, ...]) -> Machine:
-        transition = {key: names[t] for key, t in zip(keys, table)}
-        output = {names[q]: own[o] for q, o in enumerate(outs)}
-        return Machine(player, prefixes[len(outs)], "0", output, transition)
-
-    return build
+def _pool_machines(
+    game: StageGame,
+    player: PlayerId,
+    max_states: int,
+    rows: Iterator[tuple[tuple[int, ...], tuple[str, ...]]],
+) -> Iterator[Machine]:
+    """The `Machine`s of pool rows (table, outputs) of up to `max_states`
+    states, built from their tables; they share their state names."""
+    inputs = tuple(sorted(game.actions(opponent(player))))
+    names = [tuple(map(str, range(n))) for n in range(max_states + 1)]
+    for table, outs in rows:
+        yield Machine._of_table(player, names[len(outs)], 0, outs, inputs, table)
 
 
 @lru_cache(maxsize=None)
 def _machine_pool(
     game: StageGame, player: PlayerId, max_states: int, max_threat: int
 ) -> tuple[Machine, ...]:
-    build = _row_machines(game, player, max_states)
     rows = _pool_rows(game, player, max_states, max_threat)
-    return tuple(build(table, outs) for _, table, outs, _ in rows)
+    return tuple(_pool_machines(game, player, max_states, ((t, o) for _, t, o, _ in rows)))
 
 
 def enumerate_machines(
@@ -315,14 +309,6 @@ def _structure_floor(
     return len(table) - sum(entered[:most])
 
 
-def _string_ranks(items: Sequence) -> list[int]:
-    """Position of each item when the items are sorted by their string form."""
-    ranks = [0] * len(items)
-    for r, k in enumerate(sorted(range(len(items)), key=lambda k: str(items[k]))):
-        ranks[k] = r
-    return ranks
-
-
 @lru_cache(maxsize=None)
 def _measured_pool(
     game: StageGame,
@@ -331,37 +317,28 @@ def _measured_pool(
     max_threat: int,
     measure: Measure,
     below: int,
-) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+) -> tuple[tuple[int, tuple[int, ...], tuple[str, ...]], ...]:
     """(measure value, table, outputs) rows valued below `below`, in
     (value, Machine._key) order.
 
     Only transition structures that can hold such a row have their outputs
     enumerated (`_structure_floor`); their rows are then scored exactly and
     filtered.  The key of a pool machine compares its state count (its
-    state names are "0".."n-1"), then its output names, then its transition
-    targets' names with inputs in sorted-name order, all as strings.
-    Ranking the integers by those strings orders the rows the same way
-    without building the machines.
+    state names are "0".."n-1"), then its output names, then its target
+    names, so the rows sort on those values without building the machines.
     """
-    inputs = game.actions(opponent(player))
-    degree = len(inputs)
-    out_rank = _string_ranks(game.actions(player))
-    target_rank = _string_ranks(range(max_states))
-    by_name = sorted(range(degree), key=lambda k: inputs[k])
+    names = tuple(map(str, range(max_states)))
     scored = []
-    table_key = last_table = None
+    targets = last_table = None
     rows = _pool_rows(game, player, max_states, max_threat, measure, below)
     for n, table, outs, threats in rows:
         value = _row_measure(n, table, threats, measure)
         if value >= below:
             continue
-        if table is not last_table:  # the target ranks depend on the structure only
+        if table is not last_table:  # the target names depend on the structure only
             last_table = table
-            table_key = tuple(
-                target_rank[table[q * degree + k]] for q in range(n) for k in by_name
-            )
-        key = (value, n, tuple(out_rank[o] for o in outs), table_key)
-        scored.append((key, table, outs))
+            targets = tuple(map(names.__getitem__, table))
+        scored.append(((value, n, outs, targets), table, outs))
     scored.sort(key=lambda row: row[0])
     return tuple((key[0], table, outs) for key, table, outs in scored)
 
@@ -391,24 +368,21 @@ def _chain_machine(
     the normal part is a bare chain: length-L word costs L normal states and
     L-1 normal transitions.
     """
-    inputs = game.actions(opponent(player))
-    q = opp.initial
+    reads, d = opp.input_actions, len(opp.input_actions)
+    q = opp._start
     responses = []
     for a in word:
-        responses.append(opp.output[q])
-        q = opp.transition[(q, a)]
+        responses.append(opp._outs[q])
+        q = opp._nxt[q * d + reads.index(a)]
     L = len(word)
+    inputs = tuple(sorted(game.actions(opponent(player))))
+    nxt = tuple(
+        i + 1 if i + 1 < L and a == responses[i] else L for i in range(L) for a in inputs
+    )
     states = tuple(f"c{i}" for i in range(L)) + ("punish",)
-    output = {f"c{i}": word[i] for i in range(L)}
-    output["punish"] = punish
-    transition: dict[tuple[str, str], str] = {}
-    for i in range(L):
-        nxt = f"c{i + 1}" if i + 1 < L else "punish"
-        for a in inputs:
-            transition[(f"c{i}", a)] = nxt if a == responses[i] and i + 1 < L else "punish"
-    for a in inputs:
-        transition[("punish", a)] = "punish"
-    return Machine(player, states, "c0", output, transition, name="chain")
+    return Machine._of_table(
+        player, states, 0, word + (punish,), inputs, nxt + (L,) * len(inputs), "chain"
+    )
 
 
 def _deviation_candidates(
@@ -432,9 +406,7 @@ def _deviation_candidates(
         rows = _measured_pool(
             game, player, cap, bound.max_threat_states, measure, incumbent_value
         )
-        build = _row_machines(game, player, cap)
-        for _, table, outs in rows:
-            yield build(table, outs)
+        yield from _pool_machines(game, player, cap, ((t, o) for _, t, o in rows))
     if measure is Measure.NORMAL_TRANSITIONS:
         lo = max(cap, 1)
         for L in range(lo, incumbent_value + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -22,75 +22,100 @@ from .games import ParseError, PayoffProfile, PlayerId, StageGame, forcing_actio
 Step = tuple[tuple[str, str], tuple[str, str]]  # ((q1, q2), (a1, a2))
 
 
-@dataclass(frozen=True, eq=False)
 class Machine:
-    """A finite deterministic strategy machine for one player.
+    """A finite deterministic strategy machine for one player, held as one
+    integer table.
 
-    `output` maps each state to an own action; `transition` maps each
-    (state, opponent action) pair to a state, totally.  Equality and
-    hashing ignore the name but not the input actions, so a cache keyed
-    by machine never answers for a machine of another game.  Both maps
-    are read-only views of private copies, so the equality key built from
-    them, and the hash computed once, cannot go stale.
+    States are indexed by their position in `states`: `_start` is the
+    initial state's index, `_outs[q]` is state q's output action and
+    `_nxt[q * d + k]` the index of the state that q moves to on the k-th of
+    the d `input_actions`, which are sorted by name.  `output` (state to
+    action) and `transition` ((state, opponent action) to state) are
+    read-only name-keyed views of the table, built the first time something
+    reads them.
 
-    The same machine is also kept as one integer table, built once:
-    states are indexed by their position in `states`, `_start` is the
-    initial state's index, `_outs[q]` is state q's output and
-    `_nxt[q * d + k]` the index of the state that q moves to on the k-th
-    of the d `input_actions`.
+    `Machine(player, states, initial, output, transition, name)` builds and
+    validates the table from name-keyed maps; `Machine._of_table` takes a
+    table its caller guarantees valid.  Either way `__post_init__` sets the
+    fields.  Equality and hashing ignore the name but not the input
+    actions, so a cache keyed by machine never answers for a machine of
+    another game.  A machine is immutable, so neither can go stale.
     """
 
-    player: PlayerId
-    states: tuple[str, ...]
-    initial: str
-    output: Mapping[str, str]
-    transition: Mapping[tuple[str, str], str]
-    name: str = "m"
-
-    def __post_init__(self):
-        object.__setattr__(self, "output", MappingProxyType(dict(self.output)))
-        object.__setattr__(self, "transition", MappingProxyType(dict(self.transition)))
-        if self.player not in (1, 2):
-            raise ValueError(f"bad player {self.player!r}")
-        if not self.states:
+    def __init__(
+        self,
+        player: PlayerId,
+        states: tuple[str, ...],
+        initial: str,
+        output: Mapping[str, str],
+        transition: Mapping[tuple[str, str], str],
+        name: str = "m",
+    ):
+        states = tuple(states)
+        if player not in (1, 2):
+            raise ValueError(f"bad player {player!r}")
+        if not states:
             raise ValueError("machine needs at least one state")
-        index = {q: i for i, q in enumerate(self.states)}
-        if len(index) != len(self.states):
+        index = {q: i for i, q in enumerate(states)}
+        if len(index) != len(states):
             raise ValueError("duplicate state names")
-        if self.initial not in index:
-            raise ValueError(f"initial state {self.initial!r} not declared")
-        if len(self.output) != len(index) or not all(q in self.output for q in index):
+        if initial not in index:
+            raise ValueError(f"initial state {initial!r} not declared")
+        if len(output) != len(index) or not all(q in output for q in index):
             raise ValueError("output map must be total over the states")
-        inputs = tuple(sorted({a for (_, a) in self.transition}))
+        if not transition:
+            raise ValueError("machine reads no actions: its transition map is empty")
+        inputs = tuple(sorted({a for (_, a) in transition}))
         try:
-            targets = tuple(self.transition[(q, a)] for q in self.states for a in inputs)
+            nxt = tuple(index[transition[(q, a)]] for q in states for a in inputs)
         except KeyError:
-            targets = ()
-        if len(self.transition) != len(targets) or not inputs:
-            expected = {(q, a) for q in self.states for a in inputs}
-            holes = sorted(expected - set(self.transition))
-            raise ValueError(f"transition map not total; missing {holes[:3]}")
-        nxt = tuple(index.get(dst, -1) for dst in targets)
-        if -1 in nxt:
-            for (q, a), dst in self.transition.items():
-                if dst not in index:
-                    raise ValueError(f"transition ({q},{a}) targets unknown state {dst!r}")
-        outs = tuple(self.output[q] for q in self.states)
-        key = (self.player, self.states, self.initial, outs, inputs, targets)
-        object.__setattr__(self, "input_actions", inputs)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_start", index[self.initial])
-        object.__setattr__(self, "_outs", outs)
-        object.__setattr__(self, "_nxt", nxt)
+            nxt = ()
+        if len(nxt) != len(transition):  # find the first fault to report
+            for q, a in transition:
+                if q not in index:
+                    raise ValueError(f"transition ({q},{a}) leaves undeclared state {q!r}")
+            holes = sorted({(q, a) for q in states for a in inputs} - set(transition))
+            if holes:
+                raise ValueError(f"transition map not total; missing {holes[:3]}")
+            (q, a), dst = next(item for item in transition.items() if item[1] not in index)
+            raise ValueError(f"transition ({q},{a}) targets unknown state {dst!r}")
+        outs = tuple(output[q] for q in states)
+        self.__post_init__(player, states, index[initial], outs, inputs, nxt, name)
+
+    @classmethod
+    def _of_table(cls, player, states, start, outs, inputs, nxt, name="m") -> "Machine":
+        machine = cls.__new__(cls)
+        machine.__post_init__(player, states, start, outs, inputs, nxt, name)
+        return machine
+
+    def __post_init__(self, player, states, start, outs, inputs, nxt, name):
+        key = (player, states, states[start], outs, inputs, tuple(map(states.__getitem__, nxt)))
+        self.__dict__.update(
+            player=player, states=states, _start=start, _outs=outs, input_actions=inputs,
+            _nxt=nxt, name=name, _key=key, _hash=hash(key),
+        )
+
+    @property
+    def initial(self) -> str:
+        return self.states[self._start]
+
+    @cached_property
+    def output(self) -> Mapping[str, str]:
+        return MappingProxyType(dict(zip(self.states, self._outs)))
+
+    @cached_property
+    def transition(self) -> Mapping[tuple[str, str], str]:
+        states, inputs, nxt = self.states, self.input_actions, iter(self._nxt)
+        return MappingProxyType({(q, a): states[next(nxt)] for q in states for a in inputs})
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot change {name!r}: a Machine is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        # a mappingproxy does not pickle; rebuild from plain dicts
-        return (
-            Machine,
-            (self.player, self.states, self.initial, dict(self.output),
-             dict(self.transition), self.name),
-        )
+        table = (self._start, self._outs, self.input_actions, self._nxt)
+        return Machine._of_table, (self.player, self.states, *table, self.name)
 
     def __eq__(self, other):
         return isinstance(other, Machine) and self._key == other._key
@@ -106,7 +131,7 @@ def validate_machine(machine: Machine, game: StageGame) -> None:
     """Check a machine against a game's action sets."""
     own = set(game.actions(machine.player))
     opp = set(game.actions(opponent(machine.player)))
-    bad_out = sorted(set(machine.output.values()) - own)
+    bad_out = sorted(set(machine._outs) - own)
     if bad_out:
         raise ValueError(f"machine outputs {bad_out} not in player {machine.player}'s actions")
     if set(machine.input_actions) != opp:
@@ -271,21 +296,17 @@ class ComplexityReport:
 def classify_states(machine: Machine, game: StageGame) -> ComplexityReport:
     validate_machine(machine, game)
     force = set(forcing_actions(game, machine.player))
-    inputs = game.actions(opponent(machine.player))
-    threat = frozenset(
+    d, nxt = len(machine.input_actions), machine._nxt
+    threat = {
         q
-        for q in machine.states
-        if machine.output[q] in force
-        and all(machine.transition[(q, a)] == q for a in inputs)
-    )
-    normal = frozenset(q for q in machine.states if q not in threat)
-    count = sum(
-        1
-        for q in normal
-        for a in inputs
-        if machine.transition[(q, a)] in normal
-    )
-    return ComplexityReport(len(machine.states), threat, normal, count)
+        for q, out in enumerate(machine._outs)
+        if out in force and nxt[q * d : (q + 1) * d] == (q,) * d
+    }
+    # a threat state only loops to itself, so every arc into a normal state
+    # leaves a normal state
+    count = sum(1 for dst in nxt if dst not in threat)
+    names = frozenset(machine.states[q] for q in threat)
+    return ComplexityReport(len(machine.states), names, frozenset(machine.states) - names, count)
 
 
 def played_states(play: Play, player: PlayerId) -> frozenset[str]:
@@ -383,22 +404,23 @@ def equivalence_relation(play: Play, which: Relation) -> EquivalenceClasses:
     return EquivalenceClasses(which, pre, cyc, classes)
 
 
-def reachable_states(machine: Machine, inputs: tuple[str, ...] | None = None) -> tuple[str, ...]:
-    """States reachable from the initial state, in first-visit order."""
-    if inputs is None:
-        inputs = machine.input_actions
-    order = [machine.initial]
-    seen = {machine.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for a in inputs:
-            dst = machine.transition[(q, a)]
-            if dst not in seen:
-                seen.add(dst)
+def _first_visits(machine: Machine, game: StageGame) -> tuple[list[int], dict[int, int]]:
+    """The responder's input slots in the game's action order, and the
+    states reachable from the start, in first-visit order along those
+    slots, each mapped to the code `q * d + k` of the arc that first
+    reached it (the start to -1)."""
+    inputs, nxt = machine.input_actions, machine._nxt
+    d = len(inputs)
+    slots = [inputs.index(a) for a in game.actions(opponent(machine.player))]
+    order = [machine._start]
+    via = {machine._start: -1}
+    for q in order:
+        for k in slots:
+            dst = nxt[q * d + k]
+            if dst not in via:
+                via[dst] = q * d + k
                 order.append(dst)
-    return tuple(order)
+    return slots, via
 
 
 def canonical_form(machine: Machine, game: StageGame) -> Machine:
@@ -409,20 +431,17 @@ def canonical_form(machine: Machine, game: StageGame) -> Machine:
     the opponent's actions.
     """
     validate_machine(machine, game)
-    inputs = game.actions(opponent(machine.player))
-    order = reachable_states(machine, inputs)
-    rename = {q: str(i) for i, q in enumerate(order)}
-    output = {rename[q]: machine.output[q] for q in order}
-    transition = {
-        (rename[q], a): rename[machine.transition[(q, a)]] for q in order for a in inputs
-    }
-    return Machine(
+    _, via = _first_visits(machine, game)
+    rank = {q: r for r, q in enumerate(via)}
+    d, nxt = len(machine.input_actions), machine._nxt
+    return Machine._of_table(
         machine.player,
-        tuple(rename[q] for q in order),
-        "0",
-        output,
-        transition,
-        name=machine.name,
+        tuple(map(str, range(len(via)))),
+        0,
+        tuple(machine._outs[q] for q in via),
+        machine.input_actions,
+        tuple(rank[nxt[c]] for q in via for c in range(q * d, q * d + d)),
+        machine.name,
     )
 
 

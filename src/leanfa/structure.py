@@ -23,8 +23,8 @@ from .machines import (
     classify_states,
     equivalence_relation,
     limit_mean_payoff,
+    _first_visits,
     played_states,
-    reachable_states,
     simulate,
 )
 
@@ -137,21 +137,19 @@ class ChainDecomposition:
 
 def chain_decompose(machine: Machine, game: StageGame) -> ChainDecomposition | None:
     report = classify_states(machine, game)
-    inputs = game.actions(opponent(machine.player))
-    reachable = reachable_states(machine, inputs)
-    normal = [q for q in reachable if q in report.normal_states]
     if machine.initial not in report.normal_states:
         return None
+    states, nxt, d = machine.states, machine._nxt, len(machine.input_actions)
+    normal = [q in report.normal_states for q in states]
+    slots, via = _first_visits(machine, game)
     successor = {}
-    for q in normal:
-        targets = [
-            machine.transition[(q, a)]
-            for a in inputs
-            if machine.transition[(q, a)] in report.normal_states
-        ]
+    for q in via:
+        if not normal[q]:
+            continue
+        targets = [nxt[q * d + k] for k in slots if normal[nxt[q * d + k]]]
         if len(targets) != 1:
             return None
-        successor[q] = targets[0]
+        successor[states[q]] = states[targets[0]]
     walk = [machine.initial]
     seen = {machine.initial: 0}
     while True:

@@ -19,7 +19,18 @@ from typing import Callable, NamedTuple
 
 from leanfa import ActionSeq, Machine, MachinePath, StageGame, validate_machine
 from leanfa.games import PlayerId, opponent
-from leanfa.machines import reachable_states
+
+
+def reachable_states(machine: Machine, inputs: tuple[str, ...]) -> tuple[str, ...]:
+    """States reachable from the initial state, in first-visit order along
+    `inputs`, walked on the machine's name-keyed transition map."""
+    order = [machine.initial]
+    for q in order:
+        for a in inputs:
+            dst = machine.transition[(q, a)]
+            if dst not in order:
+                order.append(dst)
+    return tuple(order)
 
 
 class REdge(NamedTuple):

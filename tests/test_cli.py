@@ -369,3 +369,20 @@ def test_parse_error_exit(tmp_path, grim_files):
     bad.write_text("game x\nactions 1: C\n")
     code, _ = run("simulate", str(bad), *grim_files)
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("which", ["game", "machine", "out-dir"])
+def test_unreadable_or_unwritable_path_exits_65_with_one_error_line(
+    which, tmp_path, grim_files, capsys
+):
+    # exit 1 would read as a `fails` verdict; an OSError used to escape with it
+    a_dir, a_file = str(tmp_path), grim_files[0]
+    argv = {
+        "game": ("simulate", a_dir, *grim_files),
+        "machine": ("check", "pd", a_dir, grim_files[1], "--kind", "nash"),
+        "out-dir": ("seq", "pd", "1*(C,C)", "--build", "sigma", "--out-dir", a_file),
+    }[which]
+    code, _ = run(*argv)
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -108,6 +108,34 @@ def test_construct_best_response_examples(pd, grim2, trigger_pair, always):
     assert [br.output[q] for q in br.states] == ["C", "D"]
 
 
+def test_witness_scores_only_components_that_reach_the_value(pd, monkeypatch):
+    # from s0, C leads to an always-C sink (value 3) and D to an always-D
+    # sink (best mean 0); the witness must not score the always-D sink
+    import leanfa.cycles as cycles
+
+    machine = Machine(
+        2,
+        ("s0", "s1", "s2"),
+        "s0",
+        {"s0": "C", "s1": "C", "s2": "D"},
+        {("s0", "C"): "s1", ("s0", "D"): "s2", ("s1", "C"): "s1", ("s1", "D"): "s1",
+         ("s2", "C"): "s2", ("s2", "D"): "s2"},
+    )
+    assert best_response_value(machine, pd) == 3  # fills the best-reachable cache
+    calls = {"_karp": 0, "_first_visits": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cycles, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cycles, name, counted)
+    br = construct_best_response(machine, pd)
+    # one Karp run on the always-C sink per pass, and one first-visit walk
+    assert calls == {"_karp": 2, "_first_visits": 1}
+    assert [br.output[q] for q in br.states] == ["C", "D"]
+    assert best_response_value(machine, pd) == limit_mean_payoff(simulate(br, machine), pd).p1
+
+
 def test_constructed_best_response_achieves_value(pd):
     rng = random.Random(41)
     for _ in range(120):

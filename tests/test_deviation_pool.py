@@ -1,24 +1,66 @@
 """Differential tests for the deviation search's fast paths.
 
-The integer-scored pool, bounded by a measure value, is checked against
-scoring whole `Machine`s with `measure_value`, sorting by
+Pool machines are built straight from their integer tables; they are
+checked against the same machines built from name-keyed maps, read off
+the canonical structures in the game's declared input order.  The
+integer-scored pool, bounded by a measure value, is checked against
+scoring those name-built machines with `measure_value`, sorting by
 `(value, Machine._key)` and cutting at the bound; the witness-free
 Nash screen is checked against `is_best_response` and `is_nash`.
 """
 
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_game, random_machine
-from leanfa import Measure, PayoffProfile, StageGame, is_best_response, is_nash, measure_value
-from leanfa.equilibrium import _machine_pool, _measured_pool, _row_machines, nash_deviator
+from leanfa import (
+    Machine,
+    Measure,
+    PayoffProfile,
+    StageGame,
+    classify_states,
+    forcing_actions,
+    is_best_response,
+    is_nash,
+    machine_to_text,
+    measure_value,
+)
+from leanfa.equilibrium import (
+    _machine_pool,
+    _measured_pool,
+    _pool_machines,
+    _structures,
+    nash_deviator,
+)
 
 
-def reference_measured_pool(game, player, max_states, max_threat, measure):
-    pool = _machine_pool(game, player, max_states, max_threat)
-    scored = [(measure_value(m, game, measure), m) for m in pool]
+def name_built_pool(game, player, max_states, max_threat):
+    """(machine, output, transition) for each pool machine, in pool order,
+    built by the name constructor from maps keyed in the declared order."""
+    own, inputs = game.actions(player), game.actions(3 - player)
+    forcing = set(forcing_actions(game, player))
+    pool = []
+    for n in range(1, max_states + 1):
+        names = tuple(str(q) for q in range(n))
+        for table in _structures(n, len(inputs)):
+            targets = iter(table)
+            transition = {(q, a): names[next(targets)] for q in names for a in inputs}
+            absorbing = [q for q in names if all(transition[(q, a)] == q for a in inputs)]
+            for outs in itertools.product(own, repeat=n):
+                output = dict(zip(names, outs))
+                kept = [output[q] for q in absorbing]
+                if len(set(kept)) == len(kept) and sum(a in forcing for a in kept) <= max_threat:
+                    machine = Machine(player, names, "0", output, transition)
+                    pool.append((machine, output, transition))
+    return pool
+
+
+def reference_measured_pool(pool, game, measure):
+    scored = [(measure_value(m, game, measure), m) for m, _, _ in pool]
     scored.sort(key=lambda pair: (pair[0], pair[1]._key))
     return scored
 
@@ -61,23 +103,53 @@ def _cases():
 
 @pytest.mark.parametrize("game,player,top", _cases())
 def test_measured_pool_matches_machine_scoring(game, player, top):
-    for measure in Measure:
-        for max_states in range(1, top + 1):
-            for max_threat in (0, 1, 2):
-                reference = reference_measured_pool(
-                    game, player, max_states, max_threat, measure
-                )
+    for max_states in range(1, top + 1):
+        for max_threat in (0, 1, 2):
+            pool = name_built_pool(game, player, max_states, max_threat)
+            for measure in Measure:
+                reference = reference_measured_pool(pool, game, measure)
                 largest = reference[-1][0] if reference else 0
-                build = _row_machines(game, player, max_states)
                 for below in range(largest + 2):
                     rows = _measured_pool(game, player, max_states, max_threat, measure, below)
-                    fast = [(v, build(t, o)) for v, t, o in rows]
+                    machines = _pool_machines(game, player, max_states, (r[1:] for r in rows))
+                    fast = [(v, m) for (v, _, _), m in zip(rows, machines)]
                     assert fast == [(v, m) for v, m in reference if v < below], (
                         measure,
                         max_states,
                         max_threat,
                         below,
                     )
+
+
+def _pool_cases():
+    rng = random.Random(1986)
+    cases = [
+        pytest.param(random_game(rng), p, id=f"random{k}-p{p}") for k in range(2) for p in (1, 2)
+    ]
+    unsorted = unsorted_game(rng)
+    return cases + [pytest.param(unsorted, p, id=f"unsorted-p{p}") for p in (1, 2)]
+
+
+@pytest.mark.parametrize("game,player", _pool_cases())
+def test_table_built_pool_machines_match_the_name_constructor(game, player):
+    # the uncached builders: caching a 64k-machine pool would outlive the test
+    build_pool, classify = _machine_pool.__wrapped__, classify_states.__wrapped__
+    for cap in (1, 2, 3):
+        pool = build_pool(game, player, cap, cap)
+        reference = name_built_pool(game, player, cap, cap)
+        assert len(pool) == len(reference)
+        # every machine is compared whole; the derived forms on at least
+        # 4,000 of them, evenly spread (unsorted-p2 has 63,922 at cap 3)
+        every = max(1, len(pool) // 4000)
+        for k, (m, (ref, output, transition)) in enumerate(zip(pool, reference)):
+            assert m == ref and hash(m) == hash(ref) and m._key == ref._key
+            if k % every:
+                continue
+            assert m.output == output and m.transition == transition
+            assert machine_to_text(m) == machine_to_text(ref)
+            assert classify(m, game) == classify(ref, game)
+            back = pickle.loads(pickle.dumps(m))
+            assert back == m and back.name == m.name and back._nxt == m._nxt
 
 
 def test_nash_deviator_agrees_with_is_nash():

@@ -79,7 +79,16 @@ WITNESS = [
     ["check", "unsorted.game", "unsorted1.machine", "unsorted2.machine", "--kind", "nash"],
 ]
 
-CASES = ENUMERATE + CHECK + SIMULATE + SEQ + CENSUS + WITNESS
+# a pool pair of the unsorted game (`enumerate_machines` index 0 for player
+# 1, index 6 for player 2, 2 states): each verdict fails with a 2-state
+# player-2 pool witness, whose inputs are declared U D but sorted D U
+POOL_PAIR = [
+    ["check", "unsorted.game", "unsorted1-0.machine", "unsorted2-6.machine",
+     "--kind", kind, "--measure", measure]
+    for kind, measure in (("lean", "R"), ("lean", "delta"), ("ar", "delta"))
+]
+
+CASES = ENUMERATE + CHECK + SIMULATE + SEQ + CENSUS + WITNESS + POOL_PAIR
 
 
 def _run(words: list[str]) -> str:

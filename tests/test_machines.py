@@ -449,6 +449,21 @@ def test_machine_maps_are_frozen_and_pickle():
     assert back.name == m.name and back.output == m.output and back.transition == m.transition
 
 
+def test_machine_validation_names_the_fault():
+    # both used to report "transition map not total; missing []"
+    total = {("a", "C"): "a", ("a", "D"): "a"}
+    with pytest.raises(ValueError, match="undeclared state 'z'"):
+        Machine(1, ("a",), "a", {"a": "C"}, {**total, ("z", "C"): "a"})
+    with pytest.raises(ValueError, match="reads no actions"):
+        Machine(1, ("a",), "a", {"a": "C"}, {})
+    with pytest.raises(ValueError, match=r"not total; missing \[\('b', 'D'\)\]"):
+        Machine(1, ("a", "b"), "a", {"a": "C", "b": "D"}, {**total, ("b", "C"): "a"})
+    with pytest.raises(ValueError, match="targets unknown state 'q'"):
+        Machine(1, ("a",), "a", {"a": "C"}, {**total, ("a", "D"): "q"})
+    with pytest.raises(AttributeError, match="immutable"):
+        Machine(1, ("a",), "a", {"a": "C"}, total).name = "other"
+
+
 def test_classify_and_canonical_form_reject_a_machine_from_another_game(pd, always):
     # the same table over other input actions is another machine, so a
     # cached report for the PD one does not answer for it
