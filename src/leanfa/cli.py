@@ -16,19 +16,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .equilibrium import (
+    _CERT_MODES,
     FAILS,
     HOLDS,
     Measure,
     SearchBound,
     Verdict,
-    default_bound,
     enumerate_machines,
     is_abreu_rubinstein,
     is_lean,
     is_nash,
     nash_deviator,
 )
-from .games import BUILTIN_GAMES, ParseError, StageGame, is_strictly_enforceable, parse_game
+from .games import (
+    BUILTIN_GAMES, ParseError, StageGame, forcing_actions, is_strictly_enforceable, parse_game,
+)
 from .machines import (
     Machine,
     classify_states,
@@ -187,10 +189,8 @@ def _cmd_check(args, out) -> int:
         if args.bound is not None:
             if args.bound < 1:
                 raise _UsageError("--bound must be a positive state count")
-            threat = max(
-                default_bound(m1, ws.game, measure).max_threat_states,
-                default_bound(m2, ws.game, measure).max_threat_states,
-            )
+            # the default bounds' threat cap: one threat state per forcing output
+            threat = max(len(forcing_actions(ws.game, p)) for p in (1, 2))
             bound = SearchBound(args.bound, threat)
         check = is_abreu_rubinstein if args.kind == "ar" else is_lean
         verdict = check(m1, m2, ws.game, measure, bound, certify=args.certify)
@@ -437,6 +437,7 @@ def _cmd_export_dot(args, out) -> int:
 
 
 def _build_parser() -> _Parser:
+    measures = tuple(m.value for m in Measure)
     parser = _Parser(
         prog="leanfa",
         description="Exact analysis of repeated two-player games played by finite-state machines",
@@ -454,13 +455,9 @@ def _build_parser() -> _Parser:
     p.add_argument("machine1")
     p.add_argument("machine2")
     p.add_argument("--kind", choices=("nash", "ar", "lean"), required=True)
-    p.add_argument("--measure", choices=("Q", "R", "delta"), default=None)
+    p.add_argument("--measure", choices=measures, default=None)
     p.add_argument("--bound", type=int, default=None, help="max total states searched")
-    p.add_argument(
-        "--certify",
-        choices=("auto", "irreducible", "rigid", "foolable", "none"),
-        default="auto",
-    )
+    p.add_argument("--certify", choices=_CERT_MODES, default="auto")
 
     p = sub.add_parser("seq", help="analyze a finite action sequence")
     p.add_argument("game")
@@ -476,7 +473,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--threat", type=int, default=None)
     p.add_argument("--find", choices=("nash", "ar", "lean"), default="nash")
-    p.add_argument("--measure", choices=("Q", "R", "delta"), default=None)
+    p.add_argument("--measure", choices=measures, default=None)
     p.add_argument("--audit", choices=("structure",), default=None)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for pair checks")
 

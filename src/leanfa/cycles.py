@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .games import PlayerId, StageGame, opponent
@@ -340,19 +339,21 @@ def max_mean_cycle(machine: Machine, game: StageGame) -> tuple[Fraction, Machine
     return Fraction(P, Q * game.scale), witness
 
 
-@lru_cache(maxsize=None)
 def _best_reachable(machine: Machine, game: StageGame) -> tuple[tuple[int, int] | None, ...]:
     """The best responder cycle mean reachable from each state of `machine`.
 
-    This is the one cached analysis of the responder's graph: the value,
-    the Nash screen, sequence forcing and the witness all read it.  Tarjan
-    from the start state finds the components it reaches sinks first, so
-    one pass folds each component's own Karp mean (if it holds a cycle)
-    with the best of the components it leads to.  A mean is (num, den) on
-    the game's scaled payoffs, num / (den * game.scale); a state the start
-    does not reach gets None.  The machine is validated first, so every
-    cached table belongs to a valid machine.
+    This is the one analysis of the responder's graph, memoized on the
+    game: the value, the Nash screen, sequence forcing and the witness all
+    read it.  Tarjan from the start state finds the components it reaches
+    sinks first, so one pass folds each component's own Karp mean (if it
+    holds a cycle) with the best of the components it leads to.  A mean is
+    (num, den) on the game's scaled payoffs, num / (den * game.scale); a
+    state the start does not reach gets None.  The machine is validated
+    first, so every memoized table belongs to a valid machine.
     """
+    table = game._memo.best_reachable.get(machine)
+    if table is not None:
+        return table
     validate_machine(machine, game)
     inputs, outs, nxt = machine.input_actions, machine._outs, machine._nxt
     d = len(inputs)
@@ -379,7 +380,9 @@ def _best_reachable(machine: Machine, game: StageGame) -> tuple[tuple[int, int] 
         if arcs:
             means.append(_karp(comp, arcs))
         best.append(_largest(means))
-    return tuple(best[c] if c >= 0 else None for c in comp_of)
+    table = tuple(best[c] if c >= 0 else None for c in comp_of)
+    game._memo.best_reachable[machine] = table
+    return table
 
 
 def best_response_value(machine: Machine, game: StageGame) -> Fraction:
@@ -433,7 +436,7 @@ def is_sequence_forcing(
     (3) makes any single deviation forfeit optimality forever while (1)+(2)
     pin every non-deviating best response to the sequence itself.  The
     value and the off-walk steps' best reachable means are read from the
-    machine's one cached table, `_best_reachable`.
+    machine's one memoized table, `_best_reachable`.
 
     The test runs on the machine's integer table: the walk visits codes
     `state index * k + phase`, the cycle is summed on the game's scaled

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .cycles import _best_reachable, construct_best_response, is_sequence_forcing
@@ -255,14 +255,6 @@ def _pool_machines(
         yield Machine._of_table(player, names[len(outs)], 0, outs, inputs, table)
 
 
-@lru_cache(maxsize=None)
-def _machine_pool(
-    game: StageGame, player: PlayerId, max_states: int, max_threat: int
-) -> tuple[Machine, ...]:
-    rows = _pool_rows(game, player, max_states, max_threat)
-    return tuple(_pool_machines(game, player, max_states, ((t, o) for _, t, o, _ in rows)))
-
-
 def enumerate_machines(
     player: PlayerId, game: StageGame, bound: SearchBound
 ) -> Iterator[Machine]:
@@ -273,7 +265,9 @@ def enumerate_machines(
     absorbing states with the same output are dropped (their merged form is
     enumerated at a smaller size).
     """
-    yield from _machine_pool(game, player, bound.max_total_states, bound.max_threat_states)
+    cap = bound.max_total_states
+    rows = _pool_rows(game, player, cap, bound.max_threat_states)
+    yield from _pool_machines(game, player, cap, ((t, o) for _, t, o, _ in rows))
 
 
 def _row_measure(
@@ -309,7 +303,6 @@ def _structure_floor(
     return len(table) - sum(entered[:most])
 
 
-@lru_cache(maxsize=None)
 def _measured_pool(
     game: StageGame,
     player: PlayerId,
@@ -319,7 +312,7 @@ def _measured_pool(
     below: int,
 ) -> tuple[tuple[int, tuple[int, ...], tuple[str, ...]], ...]:
     """(measure value, table, outputs) rows valued below `below`, in
-    (value, Machine._key) order.
+    (value, Machine._key) order, kept in the game's memo.
 
     Only transition structures that can hold such a row have their outputs
     enumerated (`_structure_floor`); their rows are then scored exactly and
@@ -327,6 +320,10 @@ def _measured_pool(
     state names are "0".."n-1"), then its output names, then its target
     names, so the rows sort on those values without building the machines.
     """
+    key = (player, max_states, max_threat, measure, below)
+    pool = game._memo.pools.get(key)
+    if pool is not None:
+        return pool
     names = tuple(map(str, range(max_states)))
     scored = []
     targets = last_table = None
@@ -340,7 +337,8 @@ def _measured_pool(
             targets = tuple(map(names.__getitem__, table))
         scored.append(((value, n, outs, targets), table, outs))
     scored.sort(key=lambda row: row[0])
-    return tuple((key[0], table, outs) for key, table, outs in scored)
+    pool = game._memo.pools[key] = tuple((k[0], table, outs) for k, table, outs in scored)
+    return pool
 
 
 def _enumeration_cap(measure: Measure, incumbent_value: int, game: StageGame, player: PlayerId) -> int:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 PlayerId = int
@@ -60,6 +59,12 @@ class StageGame:
     Arithmetic runs on integers: `scale` is the LCM of all payoff
     denominators, and `scaled` maps each action pair to both payoffs times
     `scale`.  `payoff_totals` is the one summation of stage payoffs.
+
+    The game owns, and frees, what the analysis derives from it: each
+    player's minmax and forcing actions, computed here, and `_memo`: per
+    machine, the `cycles._best_reachable` table and `classify_states`
+    report, and per pool key, the `equilibrium._measured_pool` rows.  None
+    of it takes part in equality, hashing or pickling.
     """
 
     name: str
@@ -82,11 +87,8 @@ class StageGame:
             missing = sorted(cells - set(self.payoff))
             extra = sorted(set(self.payoff) - cells)
             raise ValueError(f"payoff table mismatch: missing {missing}, extra {extra}")
-        key = (
-            self.actions1,
-            self.actions2,
-            tuple(self.payoff[(a1, a2)] for a1 in self.actions1 for a2 in self.actions2),
-        )
+        profiles = tuple(self.payoff[a1, a2] for a1 in self.actions1 for a2 in self.actions2)
+        key = (self.actions1, self.actions2, profiles)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         scale = lcm(*(x.denominator for p in self.payoff.values() for x in p))
@@ -94,6 +96,16 @@ class StageGame:
                   for cell, p in self.payoff.items()}
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled", MappingProxyType(scaled))
+        # each player's best payoff against each opponent action: its minmax
+        # is the least of them, reached by the opponent's forcing actions
+        best1 = {b: max(self.payoff[a, b].p1 for a in self.actions1) for b in self.actions2}
+        best2 = {a: max(self.payoff[a, b].p2 for b in self.actions2) for a in self.actions1}
+        low1, low2 = min(best1.values()), min(best2.values())
+        forcing1 = tuple(a for a in self.actions1 if best2[a] == low2)
+        forcing2 = tuple(b for b in self.actions2 if best1[b] == low1)
+        object.__setattr__(self, "_minmax", (low1, low2))
+        object.__setattr__(self, "_forcing", (forcing1, forcing2))
+        object.__setattr__(self, "_memo", SimpleNamespace(best_reachable={}, classes={}, pools={}))
 
     def __reduce__(self):
         # a mappingproxy does not pickle; rebuilding from a plain dict also
@@ -136,37 +148,20 @@ class StageGame:
         return self._hash
 
 
-@lru_cache(maxsize=None)
 def minmax(game: StageGame, player: PlayerId) -> Fraction:
     """Lowest payoff the opponent can force on `player`, pure actions only."""
-    opp = opponent(player)
-    column_best = []
-    for b in game.actions(opp):
-        if player == 1:
-            column_best.append(max(game.u(1, a, b) for a in game.actions1))
-        else:
-            column_best.append(max(game.u(2, b, a) for a in game.actions2))
-    return min(column_best)
+    opponent(player)  # rejects a bad player id
+    return game._minmax[player - 1]
 
 
-@lru_cache(maxsize=None)
 def forcing_actions(game: StageGame, player: PlayerId) -> tuple[str, ...]:
     """Actions of `player` that hold the opponent down to its minmax payoff.
 
     At least one such action always exists: the minimizing action in the
     opponent's minmax expression is one.
     """
-    opp = opponent(player)
-    v = minmax(game, opp)
-    out = []
-    for a in game.actions(player):
-        if player == 1:
-            reply = max(game.u(2, a, b) for b in game.actions2)
-        else:
-            reply = max(game.u(1, b, a) for b in game.actions1)
-        if reply == v:
-            out.append(a)
-    return tuple(out)
+    opponent(player)  # rejects a bad player id
+    return game._forcing[player - 1]
 
 
 def is_enforceable(game: StageGame, profile: PayoffProfile) -> bool:

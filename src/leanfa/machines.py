@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,8 +38,8 @@ class Machine:
     validates the table from name-keyed maps; `Machine._of_table` takes a
     table its caller guarantees valid.  Either way `__post_init__` sets the
     fields.  Equality and hashing ignore the name but not the input
-    actions, so a cache keyed by machine never answers for a machine of
-    another game.  A machine is immutable, so neither can go stale.
+    actions, so a game's memo keyed by machine never answers for a machine
+    of another game.  A machine is immutable, so neither can go stale.
     """
 
     def __init__(
@@ -292,8 +292,13 @@ class ComplexityReport:
     normal_transitions: int
 
 
-@lru_cache(maxsize=None)
 def classify_states(machine: Machine, game: StageGame) -> ComplexityReport:
+    """Split a machine's states into threat and normal states, once per
+    (machine, game): the machine is validated against the game, and the
+    report is kept in the game's memo."""
+    report = game._memo.classes.get(machine)
+    if report is not None:
+        return report
     validate_machine(machine, game)
     force = set(forcing_actions(game, machine.player))
     d, nxt = len(machine.input_actions), machine._nxt
@@ -306,7 +311,9 @@ def classify_states(machine: Machine, game: StageGame) -> ComplexityReport:
     # leaves a normal state
     count = sum(1 for dst in nxt if dst not in threat)
     names = frozenset(machine.states[q] for q in threat)
-    return ComplexityReport(len(machine.states), names, frozenset(machine.states) - names, count)
+    report = ComplexityReport(len(machine.states), names, frozenset(machine.states) - names, count)
+    game._memo.classes[machine] = report
+    return report
 
 
 def played_states(play: Play, player: PlayerId) -> frozenset[str]:

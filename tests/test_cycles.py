@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from leanfa import (
     path_payoff,
     simulate,
 )
-from leanfa.cycles import _best_reachable
 from leanfa.games import PayoffProfile
 
 from conftest import random_game, random_machine
@@ -121,7 +121,7 @@ def test_witness_scores_only_components_that_reach_the_value(pd, monkeypatch):
         {("s0", "C"): "s1", ("s0", "D"): "s2", ("s1", "C"): "s1", ("s1", "D"): "s1",
          ("s2", "C"): "s2", ("s2", "D"): "s2"},
     )
-    assert best_response_value(machine, pd) == 3  # fills the best-reachable cache
+    assert best_response_value(machine, pd) == 3  # fills the best-reachable memo
     calls = {"_karp": 0, "_first_visits": 0}
     for name in calls:
         def counted(*args, _fn=getattr(cycles, name), _name=name):
@@ -379,17 +379,31 @@ def test_simple_cycles_on_a_ring_deeper_than_the_recursion_limit(pd):
     assert first.actions == ("C",) * n
 
 
-def test_best_reachable_runs_once_per_machine_across_verdicts(pd):
-    # the Nash screen and both sides' sequence forcing read one cached
+def test_best_reachable_runs_once_per_machine_across_verdicts(pd, monkeypatch):
+    # the Nash screen and both sides' sequence forcing read one memoized
     # table per machine, however many verdicts ask for it
-    m1, m2 = build_trigger_machines(parse_sequence("2*(C,C) 1*(D,D)", pd), pd)
-    _best_reachable.cache_clear()
+    import leanfa.cycles as cycles
+
+    game = copy.copy(pd)  # equal to the PD, with an empty memo
+    m1, m2 = build_trigger_machines(parse_sequence("2*(C,C) 1*(D,D)", game), game)
+    karp_calls = []
+
+    def counted(*args, _fn=cycles._karp):
+        karp_calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(cycles, "_karp", counted)
+    first = is_lean(m1, m2, game, Measure.NORMAL_STATES)
+    tables = dict(game._memo.best_reachable)
+    built = len(karp_calls)
     verdicts = [
-        is_lean(m1, m2, pd, Measure.NORMAL_STATES),
-        is_lean(m1, m2, pd, Measure.NORMAL_TRANSITIONS),
-        is_abreu_rubinstein(m1, m2, pd, Measure.NORMAL_STATES),
+        first,
+        is_lean(m1, m2, game, Measure.NORMAL_TRANSITIONS),
+        is_abreu_rubinstein(m1, m2, game, Measure.NORMAL_STATES),
     ]
     assert all(v.holds and v.certificates for v in verdicts)
-    info = _best_reachable.cache_info()
-    assert info.misses == info.currsize == 2
-    assert info.hits > 0
+    assert set(tables) == {m1, m2} and built > 0
+    # the later verdicts ran no Karp pass and read the same two tables
+    assert len(karp_calls) == built
+    assert game._memo.best_reachable.keys() == tables.keys()
+    assert all(game._memo.best_reachable[m] is table for m, table in tables.items())

@@ -9,6 +9,7 @@ scoring those name-built machines with `measure_value`, sorting by
 Nash screen is checked against `is_best_response` and `is_nash`.
 """
 
+import copy
 import itertools
 import pickle
 import random
@@ -21,8 +22,10 @@ from leanfa import (
     Machine,
     Measure,
     PayoffProfile,
+    SearchBound,
     StageGame,
     classify_states,
+    enumerate_machines,
     forcing_actions,
     is_best_response,
     is_nash,
@@ -30,7 +33,6 @@ from leanfa import (
     measure_value,
 )
 from leanfa.equilibrium import (
-    _machine_pool,
     _measured_pool,
     _pool_machines,
     _structures,
@@ -132,10 +134,12 @@ def _pool_cases():
 
 @pytest.mark.parametrize("game,player", _pool_cases())
 def test_table_built_pool_machines_match_the_name_constructor(game, player):
-    # the uncached builders: caching a 64k-machine pool would outlive the test
-    build_pool, classify = _machine_pool.__wrapped__, classify_states.__wrapped__
     for cap in (1, 2, 3):
-        pool = build_pool(game, player, cap, cap)
+        # fresh copies of the game, dropped after each cap, so the reports
+        # memoized for a 64k-machine pool do not outlive the test; the two
+        # sides classify under different copies, so each report is computed
+        fresh, twin = copy.copy(game), copy.copy(game)
+        pool = tuple(enumerate_machines(player, fresh, SearchBound(cap, cap)))
         reference = name_built_pool(game, player, cap, cap)
         assert len(pool) == len(reference)
         # every machine is compared whole; the derived forms on at least
@@ -147,7 +151,7 @@ def test_table_built_pool_machines_match_the_name_constructor(game, player):
                 continue
             assert m.output == output and m.transition == transition
             assert machine_to_text(m) == machine_to_text(ref)
-            assert classify(m, game) == classify(ref, game)
+            assert classify_states(m, fresh) == classify_states(ref, twin)
             back = pickle.loads(pickle.dumps(m))
             assert back == m and back.name == m.name and back._nxt == m._nxt
 

@@ -466,7 +466,7 @@ def test_machine_validation_names_the_fault():
 
 def test_classify_and_canonical_form_reject_a_machine_from_another_game(pd, always):
     # the same table over other input actions is another machine, so a
-    # cached report for the PD one does not answer for it
+    # memoized report for the PD one does not answer for it
     foreign = constant_machine(1, "C", ("X", "Y"))
     assert foreign != always(1, "C")
     classify_states(always(1, "C"), pd)
