@@ -12,7 +12,6 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .equilibrium import (
@@ -68,24 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class Workspace:
-    """Objects loaded for one invocation, validated against the game."""
-
-    game: StageGame
-    machines: dict[tuple[int, str], Machine] = field(default_factory=dict)
-
-    def add_machine(self, machine: Machine) -> Machine:
-        key = (machine.player, machine.name)
-        if key in self.machines:
-            raise ParseError(
-                f"duplicate machine name {machine.name!r} for player {machine.player}"
-            )
-        validate_machine(machine, self.game)
-        self.machines[key] = machine
-        return machine
-
-
 def _load_game(ref: str) -> StageGame:
     if ref in BUILTIN_GAMES:
         return BUILTIN_GAMES[ref]
@@ -95,16 +76,19 @@ def _load_game(ref: str) -> StageGame:
     return parse_game(path.read_text())
 
 
-def _load_machine(ws: Workspace, ref: str, player: int) -> Machine:
+def _load_machine(game: StageGame, ref: str, player: int | None = None) -> Machine:
+    """The machine in file `ref`, validated against `game`; given a
+    `player`, the file must declare that player."""
     path = Path(ref)
     if not path.exists():
         raise ParseError(f"no such machine file {ref!r}")
     machine = parse_machine(path.read_text())
-    if machine.player != player:
+    if player is not None and machine.player != player:
         raise ParseError(
             f"{ref}: declares player {machine.player}, expected player {player}"
         )
-    return ws.add_machine(machine)
+    validate_machine(machine, game)
+    return machine
 
 
 def _machine_brief(machine: Machine) -> str:
@@ -140,11 +124,11 @@ def _print_verdict(verdict: Verdict, out) -> None:
 def _cmd_simulate(args, out) -> int:
     if args.horizon is not None and args.horizon < 1:
         raise _UsageError("--horizon must be a positive step count")
-    ws = Workspace(_load_game(args.game))
-    m1 = _load_machine(ws, args.machine1, 1)
-    m2 = _load_machine(ws, args.machine2, 2)
+    game = _load_game(args.game)
+    m1 = _load_machine(game, args.machine1, 1)
+    m2 = _load_machine(game, args.machine2, 2)
     play = simulate(m1, m2)
-    print(f"game: {ws.game.name}", file=out)
+    print(f"game: {game.name}", file=out)
     print(f"machine-1: {m1.name} ({len(m1.states)} states)", file=out)
     print(f"machine-2: {m2.name} ({len(m2.states)} states)", file=out)
     fmt = lambda steps: " ".join(f"({a},{b})" for _, (a, b) in steps)
@@ -153,14 +137,14 @@ def _cmd_simulate(args, out) -> int:
     print(f"preperiod-states: {fmt_q(play.preperiod)}", file=out)
     print(f"cycle: {fmt(play.cycle)}", file=out)
     print(f"cycle-states: {fmt_q(play.cycle)}", file=out)
-    payoff = limit_mean_payoff(play, ws.game)
+    payoff = limit_mean_payoff(play, game)
     print(f"payoff: {payoff}", file=out)
-    enforce = is_strictly_enforceable(ws.game, payoff)
+    enforce = is_strictly_enforceable(game, payoff)
     print(f"strictly-enforceable: {'yes' if enforce else 'no'}", file=out)
     for i, m in ((1, m1), (2, m2)):
         played = ",".join(sorted(played_states(play, i)))
         print(f"played-{i}: {played}", file=out)
-        rep = classify_states(m, ws.game)
+        rep = classify_states(m, game)
         threat = ",".join(sorted(rep.threat_states)) or "-"
         print(
             f"measures-{i}: total={rep.total_states} threat={threat} "
@@ -168,19 +152,20 @@ def _cmd_simulate(args, out) -> int:
             file=out,
         )
     if args.horizon is not None:
-        avg = finite_mean_payoff(play, ws.game, args.horizon)
+        avg = finite_mean_payoff(play, game, args.horizon)
         print(f"average-T{args.horizon}: {avg}", file=out)
     return 0
 
 
 def _cmd_check(args, out) -> int:
-    ws = Workspace(_load_game(args.game))
-    m1 = _load_machine(ws, args.machine1, 1)
-    m2 = _load_machine(ws, args.machine2, 2)
+    game = _load_game(args.game)
+    m1 = _load_machine(game, args.machine1, 1)
+    m2 = _load_machine(game, args.machine2, 2)
     if args.kind == "nash":
-        if args.measure is not None:
-            raise _UsageError("--measure only applies to --kind ar|lean")
-        verdict = is_nash(m1, m2, ws.game)
+        for flag, value in (("--measure", args.measure), ("--bound", args.bound)):
+            if value is not None:
+                raise _UsageError(f"{flag} only applies to --kind ar|lean")
+        verdict = is_nash(m1, m2, game)
     else:
         if args.measure is None:
             raise _UsageError(f"--kind {args.kind} requires --measure")
@@ -190,10 +175,10 @@ def _cmd_check(args, out) -> int:
             if args.bound < 1:
                 raise _UsageError("--bound must be a positive state count")
             # the default bounds' threat cap: one threat state per forcing output
-            threat = max(len(forcing_actions(ws.game, p)) for p in (1, 2))
+            threat = max(len(forcing_actions(game, p)) for p in (1, 2))
             bound = SearchBound(args.bound, threat)
         check = is_abreu_rubinstein if args.kind == "ar" else is_lean
-        verdict = check(m1, m2, ws.game, measure, bound, certify=args.certify)
+        verdict = check(m1, m2, game, measure, bound, certify=args.certify)
     _print_verdict(verdict, out)
     return verdict.exit_code()
 
@@ -207,8 +192,8 @@ def _parse_player(text: str | None, what: str) -> int | None:
 
 
 def _cmd_seq(args, out) -> int:
-    ws = Workspace(_load_game(args.game))
-    seq = parse_sequence(args.sequence, ws.game)
+    game = _load_game(args.game)
+    seq = parse_sequence(args.sequence, game)
     irreducible = _parse_player(args.irreducible, "--irreducible")
     foolable = _parse_player(args.foolable, "--foolable")
     rigid = None
@@ -218,22 +203,22 @@ def _cmd_seq(args, out) -> int:
         who, _, actions = args.rigid.partition(":")
         player = _parse_player(who, "--rigid")
         subset = frozenset(actions.split(","))
-        if not subset <= set(ws.game.actions(player)):
+        if not subset <= set(game.actions(player)):
             raise _UsageError(
                 f"--rigid actions {actions!r} are not all in player {player}'s actions"
             )
         rigid = player, subset
     print(f"sequence: {seq}", file=out)
-    payoff = seq_payoff(seq, ws.game)
+    payoff = seq_payoff(seq, game)
     print(f"payoff: {payoff}", file=out)
-    enforce = is_strictly_enforceable_seq(seq, ws.game)
+    enforce = is_strictly_enforceable_seq(seq, game)
     print(f"strictly-enforceable: {'yes' if enforce else 'no'}", file=out)
     if irreducible is not None:
         answer = is_irreducible(seq, irreducible)
         print(f"irreducible-{irreducible}: {'yes' if answer else 'no'}", file=out)
     if rigid is not None:
         player, subset = rigid
-        verdict = is_rigid(seq, player, subset, ws.game)
+        verdict = is_rigid(seq, player, subset, game)
         label = ",".join(sorted(subset))
         if verdict.rigid:
             print(f"rigid-{player}-{{{label}}}: yes", file=out)
@@ -244,7 +229,7 @@ def _cmd_seq(args, out) -> int:
                 file=out,
             )
     if foolable is not None:
-        witness = is_foolable(seq, foolable, ws.game)
+        witness = is_foolable(seq, foolable, game)
         if witness is None:
             print(f"foolable-{foolable}: no", file=out)
         else:
@@ -256,7 +241,7 @@ def _cmd_seq(args, out) -> int:
     if args.build is not None:
         if args.build == "sigma":
             try:
-                pair = build_trigger_machines(seq, ws.game)
+                pair = build_trigger_machines(seq, game)
             except ValueError as exc:
                 print(f"build rejected: {exc}", file=out)
                 return 1
@@ -280,7 +265,7 @@ def _cmd_seq(args, out) -> int:
                 return 1
             try:
                 pair = build_internal_threat_machines(
-                    blocks["CD"], blocks["DD"], blocks["DC"], ws.game
+                    blocks["CD"], blocks["DD"], blocks["DC"], game
                 )
             except ValueError as exc:
                 print(f"build rejected: {exc}", file=out)
@@ -389,20 +374,22 @@ def _cmd_enumerate(args, out) -> int:
         raise _UsageError("--jobs must be a positive worker count")
     if args.find in ("ar", "lean") and args.measure is None:
         raise _UsageError(f"--find {args.find} requires --measure")
+    if args.find == "nash" and args.measure is not None:
+        raise _UsageError("--measure only applies to --find ar|lean")
     try:
         budget = budget_from_env()
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    ws = Workspace(_load_game(args.game))
+    game = _load_game(args.game)
     bound = SearchBound(args.states, args.threat if args.threat is not None else args.states)
-    pool1 = tuple(enumerate_machines(1, ws.game, bound))
-    pool2 = tuple(enumerate_machines(2, ws.game, bound))
+    pool1 = tuple(enumerate_machines(1, game, bound))
+    pool2 = tuple(enumerate_machines(2, game, bound))
     print(f"machines-1: {len(pool1)}", file=out)
     print(f"machines-2: {len(pool2)}", file=out)
     total = len(pool1) * len(pool2)
     n_pairs = min(total, budget)
     pairs = itertools.islice(itertools.product(range(len(pool1)), range(len(pool2))), budget)
-    work = (ws.game, pool1, pool2, args.find, args.measure, args.audit == "structure")
+    work = (game, pool1, pool2, args.find, args.measure, args.audit == "structure")
     if args.jobs > 1 and n_pairs > 1:
         # imap hands chunk results back in canonical pair order, so output
         # is byte-identical to a sequential run
@@ -426,13 +413,8 @@ def _yn(flag: bool) -> str:
 
 
 def _cmd_export_dot(args, out) -> int:
-    ws = Workspace(_load_game(args.game))
-    path = Path(args.machine)
-    if not path.exists():
-        raise ParseError(f"no such machine file {args.machine!r}")
-    machine = parse_machine(path.read_text())
-    ws.add_machine(machine)
-    out.write(machine_to_dot(machine, ws.game))
+    game = _load_game(args.game)
+    out.write(machine_to_dot(_load_machine(game, args.machine), game))
     return 0
 
 

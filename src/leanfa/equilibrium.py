@@ -705,32 +705,15 @@ def simplify_to_lean(
 ) -> tuple[Machine, Machine]:
     """Descend from a Nash pair to a lean-within-bound pair.
 
-    Repeatedly replaces one side by the first strictly simpler machine
-    (measure ascending, then canonical order) that keeps the pair at Nash;
-    measures are nonnegative integers, so the descent terminates with
-    componentwise measure at most the input's.
+    While `is_lean` fails, replaces the machine of its witness player by its
+    witness: the first strictly simpler machine (measure ascending, then
+    canonical order) that keeps the pair at Nash.  Measures are nonnegative
+    integers, so the descent terminates with componentwise measure at most
+    the input's.
     """
     if is_nash(m1, m2, game).result != HOLDS:
         raise ValueError("simplify_to_lean requires a Nash equilibrium as input")
     current = [m1, m2]
-    changed = True
-    while changed:
-        changed = False
-        played = _pair_sequence(current[0], current[1], game)
-        for i in (1, 2):
-            m_i = current[i - 1]
-            m_j = current[2 - i]
-            M = measure_value(m_i, game, measure)
-            if M == 0:
-                continue
-            cert = _side_certificate(game, i, m_j, measure, M, played, "lean", "auto")
-            if cert is not None:
-                continue
-            side_bound = bound if bound is not None else default_bound(m_i, game, measure)
-            dev = _find_deviation(game, i, M, m_j, measure, side_bound, require_nash=True)
-            if dev is not None:
-                current[i - 1] = dev
-                changed = True
-                break
+    while (verdict := is_lean(*current, game, measure, bound)).result == FAILS:
+        current[verdict.witness_player - 1] = verdict.witness
     return current[0], current[1]
-

@@ -13,6 +13,8 @@ alongside, so a violation doubles as a refutation of leanness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .games import PlayerId, StageGame, is_strictly_enforceable, opponent
 from .machines import (
@@ -101,7 +103,7 @@ def check_counting(
 @dataclass(frozen=True)
 class RelationReport:
     ok: bool
-    partitions: dict[Relation, EquivalenceClasses]
+    partitions: Mapping[Relation, EquivalenceClasses]
     strictly_enforceable: bool
     # per player: if the own-state relation sits inside the suffix relation,
     # the two must coincide
@@ -118,7 +120,7 @@ def check_relation_equalities(m1: Machine, m2: Machine, game: StageGame) -> Rela
         (not parts[rel].refines(suffix)) or parts[rel].same_partition(suffix)
         for rel in (Relation.STATE_1, Relation.STATE_2)
     )
-    return RelationReport(ok, parts, enforceable, contained_equal)
+    return RelationReport(ok, MappingProxyType(parts), enforceable, contained_equal)
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class ChainDecomposition:
     the reachable normal states into a transient tail and a recurrent head.
     """
 
-    successor: dict[str, str]
+    successor: Mapping[str, str]
     tail: tuple[str, ...]
     head: tuple[str, ...]
 
@@ -156,7 +158,9 @@ def chain_decompose(machine: Machine, game: StageGame) -> ChainDecomposition | N
         nxt = successor[walk[-1]]
         if nxt in seen:
             cut = seen[nxt]
-            return ChainDecomposition(successor, tuple(walk[:cut]), tuple(walk[cut:]))
+            return ChainDecomposition(
+                MappingProxyType(successor), tuple(walk[:cut]), tuple(walk[cut:])
+            )
         seen[nxt] = len(walk)
         walk.append(nxt)
 
@@ -172,8 +176,8 @@ class InferredSkeleton:
     player: PlayerId
     states: tuple[str, ...]
     initial: str
-    output: dict[str, str]
-    transition: dict[tuple[str, str], str]
+    output: Mapping[str, str]
+    transition: Mapping[tuple[str, str], str]
 
 
 @dataclass(frozen=True)
@@ -205,44 +209,24 @@ def _skeleton(play: Play, suffix: EquivalenceClasses, player: PlayerId) -> Infer
             transition[(name, observed)] = nxt
     initial = names[suffix.class_of(1)]
     return InferredSkeleton(
-        player, tuple(names[cls] for cls in suffix.classes), initial, output, transition
+        player,
+        tuple(names[cls] for cls in suffix.classes),
+        initial,
+        MappingProxyType(output),
+        MappingProxyType(transition),
     )
-
-
-def _skeleton_matches(
-    skeleton: InferredSkeleton, machine: Machine, play: Play, suffix: EquivalenceClasses
-) -> tuple[bool, str]:
-    """Isomorphism between the skeleton and the machine's played substructure.
-
-    Played substructure means played states with outputs, plus transitions on
-    the inputs actually observed in the play; off-play transitions are not
-    the observer's to know.
-    """
-    player = skeleton.player
-    j = opponent(player)
-    mapping: dict[str, str] = {}
-    for cls in suffix.classes:
-        name = f"c{cls[0]}"
-        actual = {play.state_at(t)[player - 1] for t in cls}
-        if len(actual) != 1:
-            return False, f"class {name} is played by several machine states {sorted(actual)}"
-        state = actual.pop()
-        mapping[name] = state
-    if len(set(mapping.values())) != len(mapping):
-        return False, "two classes map to the same machine state"
-    if mapping[skeleton.initial] != machine.initial:
-        return False, "initial states do not correspond"
-    for name, state in mapping.items():
-        if machine.output[state] != skeleton.output[name]:
-            return False, f"output mismatch at {name}"
-    for (name, observed), nxt in skeleton.transition.items():
-        if machine.transition[(mapping[name], observed)] != mapping[nxt]:
-            return False, f"transition mismatch at ({name},{observed})"
-    return True, "skeleton is isomorphic to the played substructure"
 
 
 def infer_machines(m1: Machine, m2: Machine, game: StageGame) -> InferenceReport:
     """Rebuild both machines' played parts from the action sequence alone.
+
+    A skeleton is isomorphic to its machine's played part (played states
+    with outputs, plus transitions on the inputs actually observed; off-play
+    transitions are not the observer's to know) exactly when the suffix
+    classes and the player's states at times 1..horizon partition the time
+    points alike.  That bijection is all there is to check: the state at t
+    fixes the output at t, with the observed action it fixes the state at
+    t + 1, and time 1 holds the initial state.
 
     The reconstruction is faithful for pairs that are lean under the
     normal-transition measure with a strictly enforceable profile; on other
@@ -251,16 +235,18 @@ def infer_machines(m1: Machine, m2: Machine, game: StageGame) -> InferenceReport
     """
     play = simulate(m1, m2)
     suffix = equivalence_relation(play, Relation.SUFFIX)
-    skeletons = []
-    matches = []
-    notes = []
-    for player, machine in ((1, m1), (2, m2)):
-        sk = _skeleton(play, suffix, player)
-        ok, note = _skeleton_matches(sk, machine, play, suffix)
-        skeletons.append(sk)
-        matches.append(ok)
-        notes.append(note)
-    return InferenceReport(tuple(skeletons), tuple(matches), tuple(notes))
+    skeletons = tuple(_skeleton(play, suffix, player) for player in (1, 2))
+    matches = tuple(
+        equivalence_relation(play, rel).same_partition(suffix)
+        for rel in (Relation.STATE_1, Relation.STATE_2)
+    )
+    notes = tuple(
+        "skeleton is isomorphic to the played substructure"
+        if ok
+        else "suffix classes and played states are not in bijection"
+        for ok in matches
+    )
+    return InferenceReport(skeletons, matches, notes)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,20 @@ def test_check_requires_measure(grim_files):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--kind", "nash", "--measure", "Q"),
+        ("--kind", "nash", "--bound", "3"),  # was ignored
+        ("--kind", "lean", "--measure", "Q", "--bound", "0"),
+    ],
+)
+def test_check_bad_arguments_are_usage_errors(grim_files, args):
+    code, out = run("check", "pd", *grim_files, *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_check_witness_reparses(grim_files, tmp_path):
     buf = io.StringIO()
     code = main(
@@ -207,6 +221,7 @@ def test_enumerate_zero_budget(monkeypatch):
         ("--states", "1", "--find", "lean"),
         ("--states", "1", "--jobs", "0"),
         ("--states", "1", "--jobs", "-3"),
+        ("--states", "1", "--find", "nash", "--measure", "Q"),  # was ignored
     ],
 )
 def test_enumerate_bad_arguments_are_usage_errors(args):

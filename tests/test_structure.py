@@ -239,3 +239,19 @@ def test_infer_mismatch_on_redundant_machine(pd, always):
 def test_chain_decompose_rejects_a_machine_from_another_game(pd):
     with pytest.raises(ValueError, match="reads actions"):
         chain_decompose(constant_machine(1, "C", ("X", "Y")), pd)
+
+
+def test_structure_reports_are_read_only(pd, grim1, grim2, trigger_pair):
+    # the reports are frozen, and so are the maps they hold
+    maps = [
+        chain_decompose(grim1, pd).successor,
+        check_relation_equalities(grim1, grim2, pd).partitions,
+    ]
+    for sk in infer_machines(*trigger_pair, pd).skeletons:
+        maps += [sk.output, sk.transition]
+    for mapping in maps:
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            mapping["zz"] = "q"
