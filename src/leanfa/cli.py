@@ -162,7 +162,8 @@ def _cmd_check(args, out) -> int:
     m1 = _load_machine(game, args.machine1, 1)
     m2 = _load_machine(game, args.machine2, 2)
     if args.kind == "nash":
-        for flag, value in (("--measure", args.measure), ("--bound", args.bound)):
+        flags = (("--measure", args.measure), ("--bound", args.bound), ("--certify", args.certify))
+        for flag, value in flags:
             if value is not None:
                 raise _UsageError(f"{flag} only applies to --kind ar|lean")
         verdict = is_nash(m1, m2, game)
@@ -178,7 +179,7 @@ def _cmd_check(args, out) -> int:
             threat = max(len(forcing_actions(game, p)) for p in (1, 2))
             bound = SearchBound(args.bound, threat)
         check = is_abreu_rubinstein if args.kind == "ar" else is_lean
-        verdict = check(m1, m2, game, measure, bound, certify=args.certify)
+        verdict = check(m1, m2, game, measure, bound, certify=args.certify or "auto")
     _print_verdict(verdict, out)
     return verdict.exit_code()
 
@@ -246,17 +247,13 @@ def _cmd_seq(args, out) -> int:
                 print(f"build rejected: {exc}", file=out)
                 return 1
         else:
-            blocks = {"CD": 0, "DD": 0, "DC": 0}
-            order = []
             for a1, a2 in seq.entries:
-                key = a1 + a2
-                if key not in blocks:
+                if a1 + a2 not in ("CD", "DD", "DC"):
                     print(f"build rejected: entry ({a1},{a2}) outside the C/D blocks", file=out)
                     return 1
-                if key not in order:
-                    order.append(key)
-                blocks[key] += 1
-            if order != ["CD", "DD", "DC"]:
+            keys = (a1 + a2 for a1, a2 in seq.entries)
+            runs = [(key, len(list(run))) for key, run in itertools.groupby(keys)]
+            if [key for key, _ in runs] != ["CD", "DD", "DC"]:
                 print(
                     "build rejected: internal-threat needs the block order "
                     "(C,D)..., (D,D)..., (D,C)...",
@@ -264,9 +261,7 @@ def _cmd_seq(args, out) -> int:
                 )
                 return 1
             try:
-                pair = build_internal_threat_machines(
-                    blocks["CD"], blocks["DD"], blocks["DC"], game
-                )
+                pair = build_internal_threat_machines(*(k for _, k in runs), game)
             except ValueError as exc:
                 print(f"build rejected: {exc}", file=out)
                 return 1
@@ -439,7 +434,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=("nash", "ar", "lean"), required=True)
     p.add_argument("--measure", choices=measures, default=None)
     p.add_argument("--bound", type=int, default=None, help="max total states searched")
-    p.add_argument("--certify", choices=_CERT_MODES, default="auto")
+    p.add_argument("--certify", choices=_CERT_MODES, default=None)
 
     p = sub.add_parser("seq", help="analyze a finite action sequence")
     p.add_argument("game")

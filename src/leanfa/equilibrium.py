@@ -194,51 +194,63 @@ def _structures(n: int, degree: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
+def _row_measure(
+    n: int, table: Sequence[int], threats: Sequence[int], measure: Measure
+) -> int:
+    """`measure_value` of a pool row's machine.
+
+    Threat states only loop to themselves, so the transitions between
+    normal states are all transitions but those that enter a threat state.
+    """
+    if measure is Measure.TOTAL_STATES:
+        return n
+    if measure is Measure.NORMAL_STATES:
+        return n - len(threats)
+    return len(table) - sum(table.count(q) for q in threats)
+
+
 def _pool_rows(
     game: StageGame,
     player: PlayerId,
     max_states: int,
     max_threat: int,
-    measure: Measure | None = None,
-    below: int = 0,
-) -> Iterator[tuple[int, tuple[int, ...], tuple[str, ...], tuple[int, ...]]]:
-    """Canonical machines up to `max_states` states, as rows in the
-    machine's own table layout.
+    measure: Measure,
+    below: int,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[str, ...]]]:
+    """(value, table, outputs) for each canonical machine of up to
+    `max_states` states whose `measure` value is below `below`, in
+    generation order.
 
-    A row is (n, table, outputs, threats): states are 0..n-1 with 0
-    initial, `table` and `outputs` are the machine's `_nxt` (inputs in
-    sorted order) and `_outs`, and `threats` lists the threat states:
-    absorbing states whose output is a forcing action.  The canonical
-    labelling is by first visits along the opponent's actions in the
-    game's declared order (`_structures`); each transition structure is
-    permuted into sorted-input order once, and all rows of one structure
-    share one `table` object.
-
-    Given a `measure`, a transition structure none of whose rows can score
-    below `below` is skipped before its outputs are enumerated; the rows
-    of the other structures still come with every value.
+    States are 0..n-1 with 0 initial; `table` and `outputs` are the
+    machine's `_nxt` (inputs in sorted order) and `_outs`.  Canonical
+    labels are first visits along the opponent's actions in the game's
+    declared order (`_structures`); all rows of one structure share one
+    `table`.  A row has at most `most` threat states (absorbing, with
+    distinct forcing outputs), so a structure is skipped when its floor,
+    the row formula with its `most` most-entered absorbing states as
+    threats, is not below `below`.
     """
     inputs = game.actions(opponent(player))
     degree = len(inputs)
     by_name = sorted(range(degree), key=inputs.__getitem__)
     forcing = frozenset(forcing_actions(game, player))
+    most = min(max_threat, len(forcing))
     loops = [(q,) * degree for q in range(max_states)]  # an absorbing state's row
     for n in range(1, max_states + 1):
         for shape in _structures(n, degree):  # inputs in the declared order
             absorbing = [q for q in range(n) if shape[q * degree : (q + 1) * degree] == loops[q]]
-            if measure is not None:
-                most = min(len(absorbing), max_threat, len(forcing))
-                if _structure_floor(n, shape, absorbing, most, measure) >= below:
-                    continue
+            entered = sorted(absorbing, key=shape.count, reverse=True)
+            if _row_measure(n, shape, entered[:most], measure) >= below:
+                continue
             table = tuple(shape[q * degree + k] for q in range(n) for k in by_name)
             for outs in itertools.product(game.actions(player), repeat=n):
                 absorbing_outputs = [outs[q] for q in absorbing]
                 if len(set(absorbing_outputs)) != len(absorbing_outputs):
                     continue  # duplicate absorbing states collapse to one
-                threats = tuple(q for q in absorbing if outs[q] in forcing)
-                if len(threats) > max_threat:
-                    continue
-                yield n, table, outs, threats
+                threats = [q for q in absorbing if outs[q] in forcing]
+                value = _row_measure(n, table, threats, measure)
+                if len(threats) <= max_threat and value < below:
+                    yield value, table, outs
 
 
 def _pool_machines(
@@ -263,44 +275,12 @@ def enumerate_machines(
     All states are reachable; states are labelled by first-visit order under
     the game's input ordering, so renamings collide; machines containing two
     absorbing states with the same output are dropped (their merged form is
-    enumerated at a smaller size).
+    enumerated at a smaller size).  These are the `_pool_rows` rows of
+    state count below cap + 1, which skips no structure within the cap.
     """
     cap = bound.max_total_states
-    rows = _pool_rows(game, player, cap, bound.max_threat_states)
-    yield from _pool_machines(game, player, cap, ((t, o) for _, t, o, _ in rows))
-
-
-def _row_measure(
-    n: int, table: tuple[int, ...], threats: tuple[int, ...], measure: Measure
-) -> int:
-    """`measure_value` of a pool row's machine.
-
-    Threat states only loop to themselves, so the transitions between
-    normal states are all transitions but those that enter a threat state.
-    """
-    if measure is Measure.TOTAL_STATES:
-        return n
-    if measure is Measure.NORMAL_STATES:
-        return n - len(threats)
-    return len(table) - sum(table.count(q) for q in threats)
-
-
-def _structure_floor(
-    n: int, table: tuple[int, ...], absorbing: list[int], most: int, measure: Measure
-) -> int:
-    """Least `_row_measure` over the rows of one transition structure.
-
-    A row's threat states are absorbing states with distinct forcing
-    outputs, within the threat cap, so there are at most `most` of them;
-    the least transition count makes the most-entered absorbing states the
-    threats.
-    """
-    if measure is Measure.TOTAL_STATES:
-        return n
-    if measure is Measure.NORMAL_STATES:
-        return n - most
-    entered = sorted((table.count(q) for q in absorbing), reverse=True)
-    return len(table) - sum(entered[:most])
+    rows = _pool_rows(game, player, cap, bound.max_threat_states, Measure.TOTAL_STATES, cap + 1)
+    yield from _pool_machines(game, player, cap, (row[1:] for row in rows))
 
 
 def _measured_pool(
@@ -311,14 +291,12 @@ def _measured_pool(
     measure: Measure,
     below: int,
 ) -> tuple[tuple[int, tuple[int, ...], tuple[str, ...]], ...]:
-    """(measure value, table, outputs) rows valued below `below`, in
-    (value, Machine._key) order, kept in the game's memo.
+    """The `_pool_rows` stream in (value, Machine._key) order, kept in the
+    game's memo.
 
-    Only transition structures that can hold such a row have their outputs
-    enumerated (`_structure_floor`); their rows are then scored exactly and
-    filtered.  The key of a pool machine compares its state count (its
-    state names are "0".."n-1"), then its output names, then its target
-    names, so the rows sort on those values without building the machines.
+    The key of a pool machine compares its state count (its state names
+    are "0".."n-1"), then its output names, then its target names, so the
+    rows sort on those values without building the machines.
     """
     key = (player, max_states, max_threat, measure, below)
     pool = game._memo.pools.get(key)
@@ -327,17 +305,13 @@ def _measured_pool(
     names = tuple(map(str, range(max_states)))
     scored = []
     targets = last_table = None
-    rows = _pool_rows(game, player, max_states, max_threat, measure, below)
-    for n, table, outs, threats in rows:
-        value = _row_measure(n, table, threats, measure)
-        if value >= below:
-            continue
+    for value, table, outs in _pool_rows(game, player, max_states, max_threat, measure, below):
         if table is not last_table:  # the target names depend on the structure only
             last_table = table
             targets = tuple(map(names.__getitem__, table))
-        scored.append(((value, n, outs, targets), table, outs))
-    scored.sort(key=lambda row: row[0])
-    pool = game._memo.pools[key] = tuple((k[0], table, outs) for k, table, outs in scored)
+        scored.append((value, len(outs), outs, targets, table))
+    scored.sort()  # no two rows share a machine key, so `table` is never compared
+    pool = game._memo.pools[key] = tuple((row[0], row[4], row[2]) for row in scored)
     return pool
 
 
@@ -404,12 +378,10 @@ def _deviation_candidates(
         rows = _measured_pool(
             game, player, cap, bound.max_threat_states, measure, incumbent_value
         )
-        yield from _pool_machines(game, player, cap, ((t, o) for _, t, o in rows))
+        yield from _pool_machines(game, player, cap, (row[1:] for row in rows))
     if measure is Measure.NORMAL_TRANSITIONS:
-        lo = max(cap, 1)
-        for L in range(lo, incumbent_value + 1):
-            if L + 1 > bound.max_total_states:
-                break
+        # a chain of L normal states has L + 1 states with its punish state
+        for L in range(max(cap, 1), min(incumbent_value, bound.max_total_states - 1) + 1):
             for word in itertools.product(game.actions(player), repeat=L):
                 for punish in forcing_actions(game, player):
                     yield _chain_machine(word, punish, opp, game, player)

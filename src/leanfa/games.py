@@ -115,9 +115,6 @@ class StageGame:
     def actions(self, player: PlayerId) -> tuple[str, ...]:
         return self.actions1 if player == 1 else self.actions2
 
-    def profile(self, a1: str, a2: str) -> PayoffProfile:
-        return self.payoff[(a1, a2)]
-
     def u(self, player: PlayerId, a1: str, a2: str) -> Fraction:
         return self.payoff[(a1, a2)].for_player(player)
 

@@ -112,6 +112,7 @@ def test_check_requires_measure(grim_files):
         ("--kind", "nash", "--measure", "Q"),
         ("--kind", "nash", "--bound", "3"),  # was ignored
         ("--kind", "lean", "--measure", "Q", "--bound", "0"),
+        ("--kind", "nash", "--certify", "none"),  # was ignored
     ],
 )
 def test_check_bad_arguments_are_usage_errors(grim_files, args):
@@ -172,6 +173,15 @@ def test_seq_build_internal_threat(tmp_path):
 
     code, out = run(
         "seq", "pd", "1*(D,D) 1*(C,D)", "--build", "internal-threat",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert "rejected" in out
+
+    # every block must be one contiguous run; machines built from the block
+    # counts alone would play (C,D) (C,D) (D,D) (D,C) (D,C) here
+    code, out = run(
+        "seq", "pd", "1*(C,D) 1*(D,D) 1*(C,D) 2*(D,C)", "--build", "internal-threat",
         "--out-dir", str(tmp_path),
     )
     assert code == 1

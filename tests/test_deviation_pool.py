@@ -19,6 +19,7 @@ import pytest
 
 from conftest import random_game, random_machine
 from leanfa import (
+    PRISONERS_DILEMMA,
     Machine,
     Measure,
     PayoffProfile,
@@ -35,6 +36,7 @@ from leanfa import (
 from leanfa.equilibrium import (
     _measured_pool,
     _pool_machines,
+    _pool_rows,
     _structures,
     nash_deviator,
 )
@@ -121,6 +123,21 @@ def test_measured_pool_matches_machine_scoring(game, player, top):
                         max_threat,
                         below,
                     )
+
+
+# under delta, a 4-state structure with absorbing states entered 4 and 3
+# times has floor 4, and 5 with the less-entered one as threat: below 5
+# tells the two apart
+@pytest.mark.parametrize(
+    "measure,belows",
+    [(Measure.NORMAL_STATES, (1, 2, 3, 4)), (Measure.NORMAL_TRANSITIONS, (3, 5, 6, 7))],
+)
+def test_structure_floor_skip_keeps_every_row_below_the_bound_at_cap_4(measure, belows):
+    # with no bound to skip against, every structure's rows are generated
+    unskipped = list(_pool_rows(PRISONERS_DILEMMA, 1, 4, 1, measure, 10**9))
+    for below in belows:
+        rows = list(_pool_rows(PRISONERS_DILEMMA, 1, 4, 1, measure, below))
+        assert rows == [row for row in unskipped if row[0] < below], below
 
 
 def _pool_cases():
