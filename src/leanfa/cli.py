@@ -52,7 +52,7 @@ from .sequences import (
     parse_sequence,
     seq_payoff,
 )
-from .structure import audit_pair, chain_decompose
+from .structure import audit_pair
 
 EXIT_USAGE = 64
 EXIT_PARSE = 65
@@ -299,17 +299,14 @@ def _examine_pair(work, i: int, j: int) -> tuple[bool, str | None]:
     )
     if audit_structure:
         audit = audit_pair(m1, m2, game)
-        sizes = []
-        for m in (m1, m2):
-            chain = chain_decompose(m, game)
-            sizes.append("-" if chain is None else f"{len(chain.tail)}+{len(chain.head)}")
+        sizes = ("-" if c is None else f"{len(c.tail)}+{len(c.head)}" for c in audit.chains)
         line += (
             f" audit: reuse={_yn(audit.first_reuse_ok)}"
             f" count-R={_yn(audit.counting_states_ok)}"
             f" count-delta={_yn(audit.counting_transitions_ok)}"
             f" relations={_yn(audit.relations_ok)}"
             f" chain={_yn(all(audit.chains_ok))}"
-            f" tail+head={sizes[0]},{sizes[1]}"
+            f" tail+head={','.join(sizes)}"
             f" infer={_yn(all(audit.inference_ok))}"
         )
     return True, line

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -297,11 +298,15 @@ def _measured_pool(
     The key of a pool machine compares its state count (its state names
     are "0".."n-1"), then its output names, then its target names, so the
     rows sort on those values without building the machines.
+
+    The memo keeps one pool per key, for the largest `below` asked for; a
+    smaller bound reads its prefix, since rows sort by value first and a
+    smaller bound's structure skip drops only structures with no row below.
     """
-    key = (player, max_states, max_threat, measure, below)
-    pool = game._memo.pools.get(key)
-    if pool is not None:
-        return pool
+    key = (player, max_states, max_threat, measure)
+    built, pool = game._memo.pools.get(key, (-1, ()))
+    if below <= built:
+        return pool[: bisect_left(pool, (below,))]
     names = tuple(map(str, range(max_states)))
     scored = []
     targets = last_table = None
@@ -311,7 +316,8 @@ def _measured_pool(
             targets = tuple(map(names.__getitem__, table))
         scored.append((value, len(outs), outs, targets, table))
     scored.sort()  # no two rows share a machine key, so `table` is never compared
-    pool = game._memo.pools[key] = tuple((row[0], row[4], row[2]) for row in scored)
+    pool = tuple((row[0], row[4], row[2]) for row in scored)
+    game._memo.pools[key] = below, pool
     return pool
 
 

@@ -333,82 +333,78 @@ class Relation(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EquivalenceClasses:
-    """A partition of the time points 1..horizon, with a cyclic extension.
+class EquivalenceClasses(PeriodicWord):
+    """A partition of a play's time points, as the word of their class labels.
 
-    A time point beyond the horizon belongs to the class of its
-    cycle-reduced representative.
+    Labels count from 0 in order of each class's first time point, so two
+    partitions of one play are equal exactly when their words are.  A time
+    point beyond the horizon belongs to the class of its cycle position.
     """
 
     relation: Relation
-    preperiod_len: int
-    cycle_len: int
-    classes: tuple[tuple[int, ...], ...]
+    preperiod: tuple[int, ...]
+    cycle: tuple[int, ...]
 
-    @property
-    def horizon(self) -> int:
-        return self.preperiod_len + self.cycle_len
-
-    def reduce(self, t: int) -> int:
-        if t < 1:
-            raise ValueError("time points are 1-based")
-        if t <= self.horizon:
-            return t
-        return self.preperiod_len + 1 + (t - self.preperiod_len - 1) % self.cycle_len
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The time points 1..horizon of each class, in label order."""
+        groups: dict[int, list[int]] = {}
+        for t, label in enumerate(self.preperiod + self.cycle, 1):
+            groups.setdefault(label, []).append(t)
+        return tuple(map(tuple, groups.values()))
 
     def class_of(self, t: int) -> tuple[int, ...]:
-        t = self.reduce(t)
-        for cls in self.classes:
-            if t in cls:
-                return cls
-        raise AssertionError("unpartitioned time point")
+        return self.classes[self.at(t)]
 
     def as_partition(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(c) for c in self.classes)
 
     def same_partition(self, other: "EquivalenceClasses") -> bool:
-        return self.as_partition() == other.as_partition()
+        return (self.preperiod, self.cycle) == (other.preperiod, other.cycle)
 
     def refines(self, other: "EquivalenceClasses") -> bool:
-        """Every class of self lies inside a class of other."""
-        coarse = {t: i for i, cls in enumerate(other.classes) for t in cls}
-        return all(len({coarse[t] for t in cls}) == 1 for cls in self.classes)
+        """Every class of self lies inside a class of other: the label
+        pairs at each time point form a function."""
+        labels = self.preperiod + self.cycle
+        return len(set(zip(labels, other.preperiod + other.cycle))) == len(set(labels))
 
 
-def _group_by_key(keys: dict[int, object]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[object, list[int]] = {}
-    for t in sorted(keys):
-        groups.setdefault(keys[t], []).append(t)
-    return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
+def _partition(word: PeriodicWord, which: Relation, keys) -> EquivalenceClasses:
+    """The partition of times 1..horizon of `word` by equal keys, one key
+    per time point."""
+    seen: dict = {}
+    labels = tuple(seen.setdefault(key, len(seen)) for key in keys)
+    pre = len(word.preperiod)
+    return EquivalenceClasses(which, labels[:pre], labels[pre:])
 
 
-def suffix_partition(word: PeriodicWord) -> tuple[tuple[int, ...], ...]:
-    """Partition times 1..H by equality of their infinite action suffixes.
+def _suffix_windows(word: PeriodicWord) -> list[tuple]:
+    """The action window of length H = |preperiod| + |cycle| at each time
+    1..H, sliced out of one word unrolled to position 2H - 1.
 
-    Comparing windows of length H = |preperiod| + |cycle| suffices: past the
-    preperiod both suffixes are periodic, and agreement over a full period
-    there implies agreement forever.  The windows are slices of one word
-    unrolled to position 2H - 1.
+    Equal windows mean equal infinite action suffixes: past the preperiod
+    both suffixes are periodic, and agreement over a full period there
+    implies agreement forever.
     """
     horizon = word.horizon
     unrolled = word.unrolled(2 * horizon - 1)
-    keys = {t: tuple(unrolled[t - 1 : t - 1 + horizon]) for t in range(1, horizon + 1)}
-    return _group_by_key(keys)
+    return [tuple(unrolled[t : t + horizon]) for t in range(horizon)]
+
+
+def suffix_partition(word: PeriodicWord) -> tuple[tuple[int, ...], ...]:
+    """Partition times 1..H by equality of their infinite action suffixes."""
+    return _partition(word, Relation.SUFFIX, _suffix_windows(word)).classes
 
 
 def equivalence_relation(play: Play, which: Relation) -> EquivalenceClasses:
-    pre, cyc = len(play.preperiod), len(play.cycle)
     if which is Relation.SUFFIX:
-        classes = suffix_partition(play)
-    else:
-        if which is Relation.STATE_PAIR:
-            key = lambda t: play.state_at(t)
-        elif which is Relation.STATE_1:
-            key = lambda t: play.state_at(t)[0]
-        else:
-            key = lambda t: play.state_at(t)[1]
-        classes = _group_by_key({t: key(t) for t in range(1, pre + cyc + 1)})
-    return EquivalenceClasses(which, pre, cyc, classes)
+        return _partition(play, which, _suffix_windows(play))
+    states = [q for q, _ in play.preperiod + play.cycle]
+    if which is Relation.STATE_1:
+        states = [q1 for q1, _ in states]
+    elif which is Relation.STATE_2:
+        states = [q2 for _, q2 in states]
+    return _partition(play, which, states)
 
 
 def _first_visits(machine: Machine, game: StageGame) -> tuple[list[int], dict[int, int]]:
@@ -475,22 +471,24 @@ def parse_machine(text: str) -> Machine:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("machine"):
+        tokens = line.split()
+        # a transition line may start with a state named "machine", "start" or "state"
+        transition = _TRANSITION_RE.match(line)
+        keyword = None if transition else tokens[0]
+        if keyword == "machine":
             m = _MACHINE_RE.match(line)
             if not m:
                 raise ParseError("expected: machine <name> player=<1|2>", lineno)
             if name is not None:
                 raise ParseError("duplicate machine line", lineno)
             name, player = m.group(1), int(m.group(2))
-        elif line.startswith("start"):
-            tokens = line.split()
+        elif keyword == "start":
             if len(tokens) != 2:
                 raise ParseError("expected: start <state>", lineno)
             if start is not None:
                 raise ParseError("duplicate start line", lineno)
             start = tokens[1]
-        elif line.startswith("state"):
-            tokens = line.split()
+        elif keyword == "state":
             if len(tokens) != 3 or not tokens[2].startswith("out="):
                 raise ParseError("expected: state <state> out=<action>", lineno)
             q = tokens[1]
@@ -499,10 +497,9 @@ def parse_machine(text: str) -> Machine:
             states.append(q)
             output[q] = tokens[2][len("out="):]
         else:
-            m = _TRANSITION_RE.match(line)
-            if not m:
+            if not transition:
                 raise ParseError(f"unrecognized line {line!r}", lineno)
-            src, action, dst = m.groups()
+            src, action, dst = transition.groups()
             if (src, action) in transitions:
                 raise ParseError(
                     f"duplicate transition for ({src},{action}), "
@@ -552,7 +549,7 @@ def machine_to_dot(machine: Machine, game: StageGame) -> str:
     inputs = game.actions(opponent(machine.player))
 
     def quote(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = [f"digraph {quote(machine.name)} {{", "  rankdir=LR;"]
     lines.append("  __start [shape=point];")

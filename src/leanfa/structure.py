@@ -45,22 +45,18 @@ class FirstReuseReport:
 def check_first_reuse(m1: Machine, m2: Machine, game: StageGame) -> FirstReuseReport:
     play = simulate(m1, m2)
     enforceable = is_strictly_enforceable(game, limit_mean_payoff(play, game))
-    horizon = play.horizon
-    cycle_states = [
-        {q[i] for q, _ in play.cycle} for i in (0, 1)
-    ]
-    later: list[set[str]] = [set(cycle_states[0]), set(cycle_states[1])]
-    # states seen strictly after time t, walking backwards over the preperiod
-    reuse_time = None
-    for t in range(horizon, 0, -1):
-        q = play.state_at(t)
-        if q[0] in later[0] or q[1] in later[1]:
-            reuse_time = t
-        later[0].add(q[0])
-        later[1].add(q[1])
-    assert reuse_time is not None, "cycle states always recur"
+    pre, steps = len(play.preperiod), play.preperiod + play.cycle
+    # each player's states, mapped to the last time 1..horizon they are played
+    last = [{q[i]: t for t, (q, _) in enumerate(steps, 1)} for i in (0, 1)]
+    # a cycle state recurs forever; a preperiod state is reused when it is
+    # played again later
+    reuse_time = next(
+        t
+        for t, (q, _) in enumerate(steps, 1)
+        if t > pre or last[0][q[0]] > t or last[1][q[1]] > t
+    )
     q = play.state_at(reuse_time)
-    recurrent = (q[0] in cycle_states[0], q[1] in cycle_states[1])
+    recurrent = (last[0][q[0]] > pre, last[1][q[1]] > pre)
     ok = all(recurrent)
     note = (
         "first reused state recurs forever for both players"
@@ -188,32 +184,23 @@ class InferenceReport:
 
 
 def _skeleton(play: Play, suffix: EquivalenceClasses, player: PlayerId) -> InferredSkeleton:
-    j = opponent(player)
-    names = {cls: f"c{cls[0]}" for cls in suffix.classes}
+    own, seen = player - 1, opponent(player) - 1
+    names: list[str] = []  # by class label: "c" and the class's first time point
     output: dict[str, str] = {}
-    transition: dict[tuple[str, str], str] = {}
-    for cls in suffix.classes:
-        name = names[cls]
-        outs = {play.action_at(t)[player - 1] for t in cls}
-        if len(outs) != 1:
+    moves: dict[tuple[int, str], int] = {}  # (label, observed action) to next label
+    for t in range(1, suffix.horizon + 1):
+        label, action = suffix.at(t), play.action_at(t)
+        if label == len(names):
+            names.append(f"c{t}")
+            output[names[label]] = action[own]
+        elif output[names[label]] != action[own]:
             raise AssertionError("suffix class members disagree on the current action")
-        output[name] = outs.pop()
-        moves = {}
-        for t in cls:
-            observed = play.action_at(t)[j - 1]
-            nxt = names[suffix.class_of(t + 1)]
-            if moves.setdefault(observed, nxt) != nxt:
-                raise AssertionError("suffix class members disagree on the next class")
-            moves[observed] = nxt
-        for observed, nxt in moves.items():
-            transition[(name, observed)] = nxt
-    initial = names[suffix.class_of(1)]
+        nxt = suffix.at(t + 1)
+        if moves.setdefault((label, action[seen]), nxt) != nxt:
+            raise AssertionError("suffix class members disagree on the next class")
+    transition = {(names[label], observed): names[nxt] for (label, observed), nxt in moves.items()}
     return InferredSkeleton(
-        player,
-        tuple(names[cls] for cls in suffix.classes),
-        initial,
-        MappingProxyType(output),
-        MappingProxyType(transition),
+        player, tuple(names), names[0], MappingProxyType(output), MappingProxyType(transition)
     )
 
 
@@ -255,18 +242,12 @@ class StructureAudit:
     counting_states_ok: bool
     counting_transitions_ok: bool
     relations_ok: bool
-    chains_ok: tuple[bool, bool]
+    chains: tuple[ChainDecomposition | None, ChainDecomposition | None]
     inference_ok: tuple[bool, bool]
 
     @property
-    def all_ok(self) -> bool:
-        return (
-            self.first_reuse_ok
-            and self.counting_transitions_ok
-            and self.relations_ok
-            and all(self.chains_ok)
-            and all(self.inference_ok)
-        )
+    def chains_ok(self) -> tuple[bool, bool]:
+        return tuple(chain is not None for chain in self.chains)
 
 
 def audit_pair(m1: Machine, m2: Machine, game: StageGame) -> StructureAudit:
@@ -276,9 +257,6 @@ def audit_pair(m1: Machine, m2: Machine, game: StageGame) -> StructureAudit:
         check_counting(m1, m2, game, use_transitions=False).ok,
         check_counting(m1, m2, game, use_transitions=True).ok,
         check_relation_equalities(m1, m2, game).ok,
-        (
-            chain_decompose(m1, game) is not None,
-            chain_decompose(m2, game) is not None,
-        ),
+        (chain_decompose(m1, game), chain_decompose(m2, game)),
         infer_machines(m1, m2, game).isomorphic,
     )

@@ -140,6 +140,15 @@ def test_structure_floor_skip_keeps_every_row_below_the_bound_at_cap_4(measure, 
         assert rows == [row for row in unskipped if row[0] < below], below
 
 
+def test_pool_memo_keeps_one_pool_per_measure_across_bounds():
+    game = copy.copy(PRISONERS_DILEMMA)
+    for measure in (Measure.NORMAL_STATES, Measure.NORMAL_TRANSITIONS):
+        for below in range(5, 0, -1):
+            rows = _measured_pool(game, 1, 3, 1, measure, below)
+            assert rows == _measured_pool(copy.copy(game), 1, 3, 1, measure, below), below
+    assert len(game._memo.pools) == 2
+
+
 def _pool_cases():
     rng = random.Random(1986)
     cases = [

@@ -269,7 +269,17 @@ def test_state_pair_relation_is_intersection_and_refines_suffix():
 
 
 def test_machine_text_round_trip(pd, grim1, trigger_pair):
-    for machine in (grim1, *trigger_pair):
+    # states named like the text format's keywords
+    states = ("state0", "start", "machineA")
+    keywords = Machine(
+        1,
+        states,
+        "state0",
+        dict(zip(states, "CDC")),
+        {(q, a): states[(i + k + 1) % 3] for i, q in enumerate(states) for k, a in enumerate("CD")},
+        name="keywords",
+    )
+    for machine in (grim1, *trigger_pair, keywords):
         text = machine_to_text(machine)
         parsed = parse_machine(text)
         assert canonical_form(parsed, pd) == canonical_form(machine, pd)
@@ -308,6 +318,15 @@ def test_dot_export_grim(pd, grim1):
     assert '"g1" [label="g1/D" shape=doublecircle];' in dot
     edges = [l for l in dot.splitlines() if "->" in l and "label=" in l]
     assert len(edges) == 4
+
+
+def test_dot_export_escapes_backslashes(pd):
+    text = "machine m player=1\nstart Q\nstate Q out=C\nQ --C--> Q\nQ --D--> Q\n"
+    machine = parse_machine(text.replace("Q", "q\\"))
+    assert machine.states == ("q\\",)
+    dot = machine_to_dot(machine, pd)
+    assert r'"q\\" [label="q\\/C" shape=circle];' in dot
+    assert r'"q\\" -> "q\\" [label="D"];' in dot
 
 
 def test_dot_export_trigger(pd, trigger_pair):

@@ -1,8 +1,11 @@
-"""`infer_machines` and `simplify_to_lean` against the code they replaced.
+"""The structure validators and `simplify_to_lean` against the code they
+replaced.
 
 `infer_machines` decides each side by comparing the player's state
 partition with the suffix partition; `tests/reference_structure.py` keeps
-the hand-written isomorphism check it replaced.  `simplify_to_lean` loops
+the hand-written isomorphism check it replaced.  The same module keeps the
+grouped-tuple partitions that the label words replaced, the backward
+first-reuse scan and the per-class skeleton loop.  `simplify_to_lean` loops
 over `is_lean`; `tests/reference_descent.py` keeps the side loop it
 replaced.  Both must agree on every case, down to the witness machines'
 names.
@@ -22,6 +25,7 @@ from leanfa import (
     Measure,
     Relation,
     SearchBound,
+    check_first_reuse,
     check_relation_equalities,
     enumerate_machines,
     equivalence_relation,
@@ -76,6 +80,40 @@ def test_inference_matches_the_reference_on_random_pairs():
             m2 = random_machine(rng, 2, game, rng.randint(1, 4))
             outcomes.add(_check_inference(m1, m2, game))
     assert len(outcomes) == 4
+
+
+def _check_structure(m1, m2, game) -> None:
+    play = simulate(m1, m2)
+    want = reference_structure.relations(play)
+    got = {rel: equivalence_relation(play, rel) for rel in Relation}
+    times = range(1, 2 * play.horizon + 2)  # past the horizon too
+    for rel, part in got.items():
+        assert part.classes == want[rel].classes, (m1, m2, rel)
+        assert [part.class_of(t) for t in times] == [want[rel].class_of(t) for t in times]
+        for other in Relation:
+            assert part.same_partition(got[other]) == want[rel].same_partition(want[other])
+            assert part.refines(got[other]) == want[rel].refines(want[other]), (rel, other)
+    first_reuse = reference_structure.check_first_reuse(m1, m2, game)
+    assert check_first_reuse(m1, m2, game) == first_reuse, (m1, m2)
+    skeletons = tuple(
+        reference_structure.build_skeleton(play, want[Relation.SUFFIX], player) for player in (1, 2)
+    )
+    assert infer_machines(m1, m2, game).skeletons == skeletons, (m1, m2)
+
+
+def test_structure_matches_the_reference_on_all_2_state_pd_pairs():
+    for m1, m2 in _pairs(PRISONERS_DILEMMA):
+        _check_structure(m1, m2, PRISONERS_DILEMMA)
+
+
+def test_structure_matches_the_reference_on_random_pairs():
+    rng = random.Random(20)
+    for _ in range(20):
+        game = random_game(rng, rng.randint(2, 3), rng.randint(2, 3))
+        for _ in range(50):
+            m1 = random_machine(rng, 1, game, rng.randint(1, 6))
+            m2 = random_machine(rng, 2, game, rng.randint(1, 6))
+            _check_structure(m1, m2, game)
 
 
 def _check_descents(pairs, game) -> int:
