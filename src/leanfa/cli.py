@@ -45,6 +45,7 @@ from .machines import (
 from .sequences import (
     build_internal_threat_machines,
     build_trigger_machines,
+    internal_threat_blocks,
     is_foolable,
     is_irreducible,
     is_rigid,
@@ -240,31 +241,14 @@ def _cmd_seq(args, out) -> int:
                 file=out,
             )
     if args.build is not None:
-        if args.build == "sigma":
-            try:
+        try:
+            if args.build == "sigma":
                 pair = build_trigger_machines(seq, game)
-            except ValueError as exc:
-                print(f"build rejected: {exc}", file=out)
-                return 1
-        else:
-            for a1, a2 in seq.entries:
-                if a1 + a2 not in ("CD", "DD", "DC"):
-                    print(f"build rejected: entry ({a1},{a2}) outside the C/D blocks", file=out)
-                    return 1
-            keys = (a1 + a2 for a1, a2 in seq.entries)
-            runs = [(key, len(list(run))) for key, run in itertools.groupby(keys)]
-            if [key for key, _ in runs] != ["CD", "DD", "DC"]:
-                print(
-                    "build rejected: internal-threat needs the block order "
-                    "(C,D)..., (D,D)..., (D,C)...",
-                    file=out,
-                )
-                return 1
-            try:
-                pair = build_internal_threat_machines(*(k for _, k in runs), game)
-            except ValueError as exc:
-                print(f"build rejected: {exc}", file=out)
-                return 1
+            else:
+                pair = build_internal_threat_machines(*internal_threat_blocks(seq), game)
+        except ValueError as exc:
+            print(f"build rejected: {exc}", file=out)
+            return 1
         outdir = Path(args.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []

@@ -104,20 +104,63 @@ class Certificate:
         return f"{self.name} [{self.detail}]"
 
 
+class Decided(enum.Enum):
+    """How a verdict's side was decided; the value formats its `Side`'s text."""
+
+    NOT_NASH = "pair is not a Nash equilibrium (player {player} deviates)"
+    MEASURE_ZERO = "player {player}: no simpler machine exists (measure 0)"
+    CERTIFICATE = "player {player}: certificate {certificate}"
+    DEVIATION = "player {player}: simpler deviation found ({bound})"
+    COMPLETE = "player {player}: complete enumeration of all machines with fewer than {value} states"
+    WITHIN_BOUND = "player {player}: no deviation within bound ({bound})"
+
+
+@dataclass(frozen=True)
+class Side:
+    """One player's side of a refinement verdict, with the player's measure value."""
+
+    player: PlayerId
+    decided: Decided
+    value: int | None = None
+    bound: SearchBound | None = None
+    certificate: Certificate | None = None
+
+    def __str__(self) -> str:
+        return self.decided.value.format(**vars(self))
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """A Nash, AR or lean verdict.  Its result, certificates and side texts
+    are read from the witness and the `Side` records, one per player decided."""
+
     kind: str  # "nash" | "ar" | "lean"
-    result: str  # HOLDS | FAILS | HOLDS_WITHIN_BOUND
     measure: Measure | None = None
     witness: Machine | None = None
     witness_player: PlayerId | None = None
-    certificates: tuple[Certificate, ...] = ()
     bound: SearchBound | None = None
-    sides: tuple[str, ...] = ()
+    records: tuple[Side, ...] = ()
+
+    @property
+    def result(self) -> str:
+        if self.witness is not None:
+            return FAILS
+        within = any(r.decided is Decided.WITHIN_BOUND for r in self.records)
+        return HOLDS_WITHIN_BOUND if within else HOLDS
+
+    @property
+    def certificates(self) -> tuple[Certificate, ...]:
+        if self.witness is not None:
+            return ()
+        return tuple(r.certificate for r in self.records if r.certificate is not None)
+
+    @property
+    def sides(self) -> tuple[str, ...]:
+        return tuple(map(str, self.records))
 
     @property
     def holds(self) -> bool:
-        return self.result in (HOLDS, HOLDS_WITHIN_BOUND)
+        return self.witness is None
 
     def exit_code(self) -> int:
         return {HOLDS: 0, FAILS: 1, HOLDS_WITHIN_BOUND: 2}[self.result]
@@ -158,13 +201,9 @@ def is_nash(m1: Machine, m2: Machine, game: StageGame) -> Verdict:
     """Mutual best responses; on failure the witness is a best-response machine."""
     i = nash_deviator(m1, m2, game)
     if i is None:
-        return Verdict("nash", HOLDS)
-    return Verdict(
-        "nash",
-        FAILS,
-        witness=construct_best_response(m2 if i == 1 else m1, game),
-        witness_player=i,
-    )
+        return Verdict("nash")
+    witness = construct_best_response(m2 if i == 1 else m1, game)
+    return Verdict("nash", witness=witness, witness_player=i)
 
 
 # --- canonical machine enumeration --------------------------------------------
@@ -421,20 +460,21 @@ def _find_deviation(
 
 def _max_clique(members: Sequence[int], relation: list[int]) -> int:
     """Size of the largest clique among `members`, where v and u are
-    adjacent when bit u of `relation[v]` is set."""
+    adjacent when bit u of `relation[v]` is set.  Branch and bound on a
+    stack of (clique, size, index of the next member to try)."""
     best = 0
-
-    def grow(clique: int, size: int, rest: Sequence[int]):
-        nonlocal best
-        if size > best:
-            best = size
-        for idx, v in enumerate(rest):
-            if size + len(rest) - idx <= best:
+    stack = [(0, 0, 0)]
+    while stack:
+        clique, size, pos = stack.pop()
+        for idx in range(pos, len(members)):
+            if size + len(members) - idx <= best:
                 break
+            v = members[idx]
             if relation[v] & clique == clique:
-                grow(clique | 1 << v, size + 1, rest[idx + 1 :])
-
-    grow(0, 0, members)
+                best = max(best, size + 1)
+                stack.append((clique, size, idx + 1))
+                stack.append((clique | 1 << v, size + 1, idx + 1))
+                break
     return best
 
 
@@ -575,70 +615,36 @@ def _refinement_verdict(
     if certify not in _CERT_MODES:
         raise ValueError(f"certify must be one of {_CERT_MODES}")
     nash = is_nash(m1, m2, game)
-    if nash.result == FAILS:
-        return Verdict(
-            kind,
-            FAILS,
-            measure=measure,
-            witness=nash.witness,
-            witness_player=nash.witness_player,
-            bound=bound,
-            sides=(f"pair is not a Nash equilibrium (player {nash.witness_player} deviates)",),
-        )
+    if nash.witness is not None:
+        side = Side(nash.witness_player, Decided.NOT_NASH)
+        return Verdict(kind, measure, nash.witness, nash.witness_player, bound, (side,))
     played = _pair_sequence(m1, m2, game)
-    sides: list[str] = []
-    certificates: list[Certificate] = []
-    used_bounds: list[SearchBound] = []
-    all_unconditional = True
+    records: list[Side] = []
     for i in (1, 2):
         m_i, m_j = (m1, m2) if i == 1 else (m2, m1)
         M = measure_value(m_i, game, measure)
         if M == 0:
-            sides.append(f"player {i}: no simpler machine exists (measure 0)")
+            records.append(Side(i, Decided.MEASURE_ZERO, M))
             continue
         side_bound = bound if bound is not None else default_bound(m_i, game, measure)
-        used_bounds.append(side_bound)
         cert = _side_certificate(game, i, m_j, measure, M, played, kind, certify)
         if cert is not None:
-            certificates.append(cert)
-            sides.append(f"player {i}: certificate {cert}")
+            records.append(Side(i, Decided.CERTIFICATE, M, side_bound, cert))
             continue
-        dev = _find_deviation(
-            game, i, M, m_j, measure, side_bound, require_nash=(kind == "lean")
-        )
+        dev = _find_deviation(game, i, M, m_j, measure, side_bound, require_nash=(kind == "lean"))
         if dev is not None:
-            return Verdict(
-                kind,
-                FAILS,
-                measure=measure,
-                witness=dev,
-                witness_player=i,
-                bound=side_bound,
-                sides=tuple(sides)
-                + (f"player {i}: simpler deviation found ({side_bound})",),
-            )
-        if measure is Measure.TOTAL_STATES and side_bound.max_total_states >= M - 1:
-            sides.append(
-                f"player {i}: complete enumeration of all machines with fewer than {M} states"
-            )
-        else:
-            sides.append(f"player {i}: no deviation within bound ({side_bound})")
-            all_unconditional = False
-    result = HOLDS if all_unconditional else HOLDS_WITHIN_BOUND
-    agg_bound = bound
-    if agg_bound is None and used_bounds:
-        agg_bound = SearchBound(
-            max(b.max_total_states for b in used_bounds),
-            max(b.max_threat_states for b in used_bounds),
+            records.append(Side(i, Decided.DEVIATION, M, side_bound))
+            return Verdict(kind, measure, dev, i, side_bound, tuple(records))
+        complete = measure is Measure.TOTAL_STATES and side_bound.max_total_states >= M - 1
+        decided = Decided.COMPLETE if complete else Decided.WITHIN_BOUND
+        records.append(Side(i, decided, M, side_bound))
+    bounds = [r.bound for r in records if r.bound is not None]
+    if bound is None and bounds:
+        bound = SearchBound(
+            max(b.max_total_states for b in bounds),
+            max(b.max_threat_states for b in bounds),
         )
-    return Verdict(
-        kind,
-        result,
-        measure=measure,
-        certificates=tuple(certificates),
-        bound=agg_bound,
-        sides=tuple(sides),
-    )
+    return Verdict(kind, measure, bound=bound, records=tuple(records))
 
 
 def is_abreu_rubinstein(

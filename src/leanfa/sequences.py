@@ -141,6 +141,19 @@ def build_trigger_machines(seq: ActionSeq, game: StageGame) -> tuple[Machine, Ma
     return machines[0], machines[1]
 
 
+def internal_threat_blocks(seq: ActionSeq) -> tuple[int, int, int]:
+    """The block lengths (k_cd, k_dd, k_dc) of a sequence k_cd*(C,D),
+    k_dd*(D,D), k_dc*(D,C), the arguments of `build_internal_threat_machines`."""
+    blocks = (("C", "D"), ("D", "D"), ("D", "C"))
+    for a1, a2 in seq.entries:
+        if (a1, a2) not in blocks:
+            raise ValueError(f"entry ({a1},{a2}) outside the C/D blocks")
+    runs = [(entry, len(list(run))) for entry, run in itertools.groupby(seq.entries)]
+    if tuple(entry for entry, _ in runs) != blocks:
+        raise ValueError("internal-threat needs the block order (C,D)..., (D,D)..., (D,C)...")
+    return tuple(k for _, k in runs)
+
+
 def build_internal_threat_machines(
     k_cd: int, k_dd: int, k_dc: int, game: StageGame
 ) -> tuple[Machine, Machine]:

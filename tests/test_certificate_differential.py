@@ -89,6 +89,12 @@ def test_sequence_certificate_helpers_match_reference():
                     ), (seq, player, subset)
 
 
+def test_max_clique_of_1100_pairwise_incompatible_classes():
+    # one stack frame per clique member would pass Python's recursion limit
+    full = (1 << 1100) - 1
+    assert _max_clique(range(1100), [full ^ (1 << v) for v in range(1100)]) == 1100
+
+
 def test_play_suffix_partition_and_incompatibility_match_reference():
     rng = random.Random(4048)
     with_preperiod = 0

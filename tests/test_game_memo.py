@@ -19,6 +19,7 @@ import pytest
 from conftest import random_game
 from leanfa import (
     PRISONERS_DILEMMA,
+    Decided,
     Measure,
     PayoffProfile,
     SearchBound,
@@ -56,7 +57,10 @@ def _analyse_and_drop(seed):
     for m1, m2 in pairs[:5]:
         verdict = is_lean(m1, m2, game, Measure.NORMAL_TRANSITIONS, BOUND, "none")
         # a side that searched scored a measured pool of deviations
-        searched += any("deviation" in side for side in verdict.sides)
+        searched += any(
+            record.decided in (Decided.DEVIATION, Decided.COMPLETE, Decided.WITHIN_BOUND)
+            for record in verdict.records
+        )
         best_response_value(m1, game)
     assert searched
     return weakref.ref(game)

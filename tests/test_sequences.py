@@ -26,6 +26,7 @@ from leanfa import (
 )
 
 from leanfa.machines import suffix_partition
+from leanfa.sequences import internal_threat_blocks
 
 from conftest import random_game, random_machine
 
@@ -161,6 +162,18 @@ def test_internal_threat_larger_blocks(pd):
 def test_internal_threat_rejects_unenforceable(pd):
     with pytest.raises(ValueError, match="not strictly enforceable"):
         build_internal_threat_machines(4, 1, 1, pd)
+
+
+def test_internal_threat_blocks(pd):
+    assert internal_threat_blocks(seq("2*(C,D) 1*(D,D) 3*(D,C)")) == (2, 1, 3)
+    with pytest.raises(ValueError, match=r"^entry \(C,C\) outside the C/D blocks$"):
+        internal_threat_blocks(seq("1*(C,D) 1*(C,C) 1*(D,D) 1*(D,C)"))
+    # an outside entry is named before the block order is checked
+    with pytest.raises(ValueError, match=r"^entry \(C,C\) outside"):
+        internal_threat_blocks(seq("1*(D,C) 1*(C,C)"))
+    for text in ("1*(D,D) 1*(C,D) 1*(D,C)", "1*(C,D) 1*(D,D) 1*(C,D) 1*(D,C)", "1*(C,D) 1*(D,C)"):
+        with pytest.raises(ValueError, match=r"block order \(C,D\)\.\.\., \(D,D\)"):
+            internal_threat_blocks(seq(text))
 
 
 def test_incompatible_examples(pd):
